@@ -1,0 +1,365 @@
+#include "demand_reference.hpp"
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "mcs/analysis/edfvd.hpp"
+
+namespace mcs::analysis::reference {
+
+// ---------------------------------------------------------------------------
+// ge_dual_test (credited Ekberg-Yi curves, uniform tier then greedy tuning)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct Curve {
+  double d0 = 0.0;
+  double period = 1.0;
+  double cost = 0.0;
+  double credit = 0.0;
+};
+
+double curve_demand(const Curve& c, double t) {
+  if (t < c.d0 - 1e-9) return 0.0;
+  const double jobs = std::floor((t - c.d0) / c.period + 1e-9) + 1.0;
+  const double r = (t - c.d0) - (jobs - 1.0) * c.period;
+  return jobs * c.cost - std::max(0.0, c.credit - r);
+}
+
+std::optional<double> analysis_bound(const std::vector<Curve>& curves) {
+  double slope = 0.0;
+  double intercept = 0.0;
+  for (const Curve& c : curves) {
+    slope += c.cost / c.period;
+    intercept += c.cost * std::max(0.0, 1.0 - c.d0 / c.period);
+  }
+  if (slope >= 1.0 - 1e-12) {
+    return intercept <= 1e-12 && slope <= 1.0 + 1e-12
+               ? std::optional<double>(0.0)
+               : std::nullopt;
+  }
+  return intercept / (1.0 - slope);
+}
+
+std::optional<double> first_violation(const std::vector<Curve>& curves,
+                                      double bound) {
+  struct Lane {
+    double next;
+    std::size_t curve;
+    bool kink;
+  };
+  const auto later = [](const Lane& a, const Lane& b) {
+    return a.next > b.next;
+  };
+  std::vector<Lane> heap;
+  heap.reserve(curves.size() * 2);
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const Curve& c = curves[i];
+    if (c.cost <= 0.0) continue;
+    if (c.d0 <= bound + 1e-9) heap.push_back({c.d0, i, false});
+    if (c.credit > 0.0 && c.d0 + c.credit <= bound + 1e-9) {
+      heap.push_back({c.d0 + c.credit, i, true});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  double last = -1.0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Lane lane = heap.back();
+    heap.pop_back();
+    const double t = lane.next;
+    lane.next += curves[lane.curve].period;
+    if (lane.next <= bound + 1e-9) {
+      heap.push_back(lane);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+    if (t == last) continue;
+    last = t;
+    double demand = 0.0;
+    for (const Curve& c : curves) demand += curve_demand(c, t);
+    if (demand > t + 1e-9) return t;
+  }
+  return std::nullopt;
+}
+
+void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
+                  std::span<const double> scales,
+                  std::vector<Curve>& lo_curves,
+                  std::vector<Curve>& hi_curves) {
+  lo_curves.clear();
+  hi_curves.clear();
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const McTask& task = ts[members[m]];
+    const double period = task.period();
+    if (task.level() == 2) {
+      const double v = scales[m] * period;
+      lo_curves.push_back({v, period, task.wcet(1), 0.0});
+      hi_curves.push_back({period - v, period, task.wcet(2), task.wcet(1)});
+    } else {
+      lo_curves.push_back({period, period, task.wcet(1), 0.0});
+    }
+  }
+}
+
+std::optional<std::pair<int, double>> ge_violation(
+    const TaskSet& ts, std::span<const std::size_t> members,
+    std::span<const double> scales, const GeOptions& options) {
+  std::vector<Curve> lo_curves;
+  std::vector<Curve> hi_curves;
+  build_curves(ts, members, scales, lo_curves, hi_curves);
+  int mode = 0;
+  for (const auto* curves : {&lo_curves, &hi_curves}) {
+    const std::optional<double> bound = analysis_bound(*curves);
+    if (!bound || *bound > options.horizon_cap) {
+      return std::make_pair(mode, 0.0);
+    }
+    if (*bound > 0.0) {
+      if (const auto t = first_violation(*curves, *bound)) {
+        return std::make_pair(mode, *t);
+      }
+    }
+    ++mode;
+  }
+  return std::nullopt;
+}
+
+bool test_with_uniform(const TaskSet& ts, std::span<const std::size_t> members,
+                       double x, std::vector<double>& scales,
+                       const GeOptions& options) {
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    scales[m] = ts[members[m]].level() == 2 ? x : 1.0;
+  }
+  return !ge_violation(ts, members, scales, options).has_value();
+}
+
+GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
+                std::span<const double> scales) {
+  GeResult result;
+  result.schedulable = true;
+  result.scales.assign(ts.size(), 1.0);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    result.scales[members[m]] = scales[m];
+  }
+  return result;
+}
+
+}  // namespace
+
+GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
+                      const GeOptions& options, GeTuning* tuning) {
+  GeTuning local;
+  GeTuning& trace = tuning != nullptr ? *tuning : local;
+  trace = GeTuning{};
+  if (ts.num_levels() != 2) {
+    throw std::invalid_argument(
+        "ge_dual_test: requires a dual-criticality task set");
+  }
+  GeResult result;
+  result.scales.assign(ts.size(), 1.0);
+  if (members.empty()) {
+    result.schedulable = true;
+    return result;
+  }
+
+  UtilMatrix u(2);
+  for (std::size_t i : members) u.add(ts[i]);
+  std::vector<double> candidates{1.0};
+  const double u22 = u.level_util(2, 2);
+  if (u22 > 0.0 && u22 < 1.0) candidates.push_back(1.0 - u22);
+  candidates.push_back(dual_scaling_factor(u));
+  for (std::size_t g = 1; g <= options.scale_grid; ++g) {
+    candidates.push_back(static_cast<double>(g) /
+                         static_cast<double>(options.scale_grid));
+  }
+  std::vector<double> scales(members.size(), 1.0);
+  for (double x : candidates) {
+    if (x <= 0.0 || x > 1.0) continue;
+    if (test_with_uniform(ts, members, x, scales, options)) {
+      return accept(ts, members, scales);
+    }
+  }
+
+  const double step = 1.0 / static_cast<double>(options.scale_grid);
+  std::size_t hi_count = 0;
+  for (std::size_t m : members) hi_count += ts[m].level() == 2 ? 1u : 0u;
+  if (hi_count == 0) return result;
+  trace.entered = true;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    scales[m] = ts[members[m]].level() == 2 ? 0.5 : 1.0;
+  }
+  const std::size_t max_iter =
+      std::min(8 * options.scale_grid * (hi_count + 1),
+               options.greedy_iter_cap);
+
+  std::size_t last_moved = members.size();
+  double last_prior = 0.0;
+  for (std::size_t iter = 0; iter < max_iter; ++iter) {
+    const auto violation = ge_violation(ts, members, scales, options);
+    if (!violation) return accept(ts, members, scales);
+    const auto [mode, t] = *violation;
+    std::size_t best = members.size();
+    double best_demand = 0.0;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const McTask& task = ts[members[m]];
+      if (task.level() != 2) continue;
+      const double period = task.period();
+      double demand;
+      bool movable;
+      if (mode == 0) {
+        const Curve c{scales[m] * period, period, task.wcet(1), 0.0};
+        demand = curve_demand(c, t);
+        movable = scales[m] <= 1.0 - step * 0.5;
+      } else {
+        demand = ge_dbf_hi(task, t, scales[m]);
+        movable = scales[m] >= 2.0 * step - step * 0.5;
+      }
+      if (movable && demand > best_demand) {
+        best_demand = demand;
+        best = m;
+      }
+    }
+    if (best == members.size() || best_demand <= 0.0) return result;
+    const double prior = scales[best];
+    scales[best] += mode == 0 ? step : -step;
+    ++trace.moves;
+    if (best == last_moved && scales[best] == last_prior) {
+      trace.undid_move = true;
+    }
+    last_moved = best;
+    last_prior = prior;
+  }
+  trace.hit_cap = true;
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// dbf_dual_test (uncredited step curves, uniform scales only)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+double step_demand(double t, double d, double period, double c) {
+  if (t < d - 1e-9) return 0.0;
+  return (std::floor((t - d) / period + 1e-9) + 1.0) * c;
+}
+
+std::optional<double> first_violation(
+    const std::vector<std::array<double, 3>>& curves, double bound) {
+  struct Lane {
+    double next;
+    std::size_t curve;
+  };
+  const auto later = [](const Lane& a, const Lane& b) {
+    return a.next > b.next;
+  };
+  std::vector<Lane> heap;
+  heap.reserve(curves.size());
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const auto& [d, period, c] = curves[i];
+    if (c <= 0.0) continue;
+    if (d <= bound + 1e-9) heap.push_back({d, i});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  double last = -1.0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Lane lane = heap.back();
+    heap.pop_back();
+    const double t = lane.next;
+    lane.next += curves[lane.curve][1];
+    if (lane.next <= bound + 1e-9) {
+      heap.push_back(lane);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+    if (t == last) continue;
+    last = t;
+    double demand = 0.0;
+    for (const auto& [d, period, c] : curves) {
+      demand += step_demand(t, d, period, c);
+    }
+    if (demand > t + 1e-9) return t;
+  }
+  return std::nullopt;
+}
+
+bool demand_fits(const std::vector<std::array<double, 3>>& curves,
+                 double bound) {
+  return !first_violation(curves, bound).has_value();
+}
+
+std::optional<double> analysis_bound(
+    const std::vector<std::array<double, 3>>& curves) {
+  double slope = 0.0;
+  double intercept = 0.0;
+  for (const auto& [d, period, c] : curves) {
+    slope += c / period;
+    intercept += c * std::max(0.0, 1.0 - d / period);
+  }
+  if (slope >= 1.0 - 1e-12) {
+    return intercept <= 1e-12 && slope <= 1.0 + 1e-12
+               ? std::optional<double>(0.0)
+               : std::nullopt;
+  }
+  return intercept / (1.0 - slope);
+}
+
+bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
+                     double x, const DbfOptions& options) {
+  std::vector<std::array<double, 3>> lo_curves;
+  std::vector<std::array<double, 3>> hi_curves;
+  for (std::size_t i : members) {
+    const McTask& task = ts[i];
+    const double period = task.period();
+    if (task.level() == 2) {
+      lo_curves.push_back({x * period, period, task.wcet(1)});
+      hi_curves.push_back({period - x * period, period, task.wcet(2)});
+    } else {
+      lo_curves.push_back({period, period, task.wcet(1)});
+    }
+  }
+  for (const auto* curves : {&lo_curves, &hi_curves}) {
+    const std::optional<double> bound = analysis_bound(*curves);
+    if (!bound) return false;
+    if (*bound > options.horizon_cap) return false;
+    if (*bound > 0.0 && !demand_fits(*curves, *bound)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+DbfResult dbf_dual_test(const TaskSet& ts,
+                        std::span<const std::size_t> members,
+                        const DbfOptions& options) {
+  if (ts.num_levels() != 2) {
+    throw std::invalid_argument(
+        "dbf_dual_test: requires a dual-criticality task set");
+  }
+  if (members.empty()) return DbfResult{.schedulable = true, .scale = 1.0};
+
+  UtilMatrix u(2);
+  for (std::size_t i : members) u.add(ts[i]);
+  std::vector<double> candidates{1.0};
+  const double u22 = u.level_util(2, 2);
+  if (u22 > 0.0 && u22 < 1.0) candidates.push_back(1.0 - u22);
+  candidates.push_back(dual_scaling_factor(u));
+  for (std::size_t g = 1; g <= options.scale_grid; ++g) {
+    candidates.push_back(static_cast<double>(g) /
+                         static_cast<double>(options.scale_grid));
+  }
+  for (double x : candidates) {
+    if (x <= 0.0 || x > 1.0) continue;
+    if (test_with_scale(ts, members, x, options)) {
+      return DbfResult{.schedulable = true, .scale = x};
+    }
+  }
+  return DbfResult{};
+}
+
+}  // namespace mcs::analysis::reference

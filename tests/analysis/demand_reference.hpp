@@ -1,0 +1,37 @@
+// Test-only reference copies of the dual-criticality demand gates as they
+// were before the gates learned to stop once their verdict is decided: the
+// GE tuning tier runs every iteration up to its cap, and the uniform-scale
+// tiers scan LO before HI.  They exist only to be diffed against
+// analysis::ge_dual_test / analysis::dbf_dual_test bit for bit and are never
+// linked into the library.
+#pragma once
+
+#include <cstddef>
+#include <span>
+
+#include "mcs/analysis/dbf.hpp"
+#include "mcs/analysis/ge_test.hpp"
+#include "mcs/core/taskset.hpp"
+
+namespace mcs::analysis::reference {
+
+/// What the GE tuning tier (tier 2) did on one call.
+struct GeTuning {
+  bool entered = false;   ///< tier 1 rejected every uniform candidate
+  std::size_t moves = 0;  ///< greedy scale moves made
+  bool hit_cap = false;   ///< ran all iterations without accepting
+  /// Some move took the previously moved scale back to the exact double it
+  /// held before that move (the greedy walk revisited a state).
+  bool undid_move = false;
+};
+
+[[nodiscard]] GeResult ge_dual_test(const TaskSet& ts,
+                                    std::span<const std::size_t> members,
+                                    const GeOptions& options = {},
+                                    GeTuning* tuning = nullptr);
+
+[[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts,
+                                      std::span<const std::size_t> members,
+                                      const DbfOptions& options = {});
+
+}  // namespace mcs::analysis::reference

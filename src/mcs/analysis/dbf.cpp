@@ -1,10 +1,11 @@
 #include "mcs/analysis/dbf.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
+#include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "mcs/analysis/edfvd.hpp"
 
@@ -88,25 +89,36 @@ std::optional<double> analysis_bound(
   return intercept / (1.0 - slope);
 }
 
+/// Whether uniform scale x passes, checking cheapest first (see the search
+/// order in dbf.hpp): both bounds, then the scan of `first_scan` (0 = LO,
+/// 1 = HI), then the other.  A rejection by the other scan makes it
+/// `first_scan` for the next candidate.
 bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
-                     double x, const DbfOptions& options) {
-  std::vector<std::array<double, 3>> lo_curves;
-  std::vector<std::array<double, 3>> hi_curves;
+                     double x, const DbfOptions& options,
+                     std::size_t& first_scan) {
+  std::array<std::vector<std::array<double, 3>>, 2> curves;
   for (std::size_t i : members) {
     const McTask& task = ts[i];
     const double period = task.period();
     if (task.level() == 2) {
-      lo_curves.push_back({x * period, period, task.wcet(1)});
-      hi_curves.push_back({period - x * period, period, task.wcet(2)});
+      curves[0].push_back({x * period, period, task.wcet(1)});
+      curves[1].push_back({period - x * period, period, task.wcet(2)});
     } else {
-      lo_curves.push_back({period, period, task.wcet(1)});
+      curves[0].push_back({period, period, task.wcet(1)});
     }
   }
-  for (const auto* curves : {&lo_curves, &hi_curves}) {
-    const std::optional<double> bound = analysis_bound(*curves);
+  std::array<double, 2> bounds{};
+  for (std::size_t mode = 0; mode < 2; ++mode) {
+    const std::optional<double> bound = analysis_bound(curves[mode]);
     if (!bound) return false;
     if (*bound > options.horizon_cap) return false;  // conservative
-    if (*bound > 0.0 && !demand_fits(*curves, *bound)) return false;
+    bounds[mode] = *bound;
+  }
+  for (const std::size_t mode : {first_scan, 1 - first_scan}) {
+    if (bounds[mode] > 0.0 && !demand_fits(curves[mode], bounds[mode])) {
+      first_scan = mode;
+      return false;
+    }
   }
   return true;
 }
@@ -146,9 +158,12 @@ DbfResult dbf_dual_test(const TaskSet& ts,
     candidates.push_back(static_cast<double>(g) /
                          static_cast<double>(options.scale_grid));
   }
+  // HI first: at x = 1, the first candidate, every HI curve steps at t = 0,
+  // so the HI scan usually rejects at its first breakpoint.
+  std::size_t first_scan = 1;
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_scale(ts, members, x, options)) {
+    if (test_with_scale(ts, members, x, options, first_scan)) {
       return DbfResult{.schedulable = true, .scale = x};
     }
   }

@@ -25,6 +25,17 @@
 // Complexity: per (x, mode) the demand is checked at every step point of
 // the summed dbf up to the busy-period bound — far costlier than the
 // utilization tests, which is exactly the trade-off [20] explores.
+//
+// Search order: a candidate passes only if four side-effect-free checks
+// all pass (the LO and HI busy-period bounds, the LO and HI step-point
+// scans), so their order cannot change the verdict and the cheapest go
+// first.  Both O(n) bounds go first, since a set with U_LO >= 1 fails the
+// LO bound at every candidate.  Then comes the scan that rejected the
+// previous candidate (HI for x = 1, where every HI curve steps at t = 0):
+// at large x the HI scan fails early while the LO scan passes in full, and
+// at small x the reverse, so a fixed order pays for one full passing scan
+// per candidate on one side of the grid.  dbf_dual_test_tuned's greedy
+// loop keeps LO before HI, because the first violation picks its move.
 #pragma once
 
 #include <cstddef>

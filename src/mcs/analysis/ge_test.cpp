@@ -141,13 +141,32 @@ std::optional<std::pair<int, double>> ge_violation(
   return std::nullopt;
 }
 
+/// Tier 1: whether uniform scale x passes, checking cheapest first (see
+/// the search strategy in ge_test.hpp): both bounds, then the scan of
+/// `first_scan` (0 = LO, 1 = HI), then the other.  A rejection by the other
+/// scan makes it `first_scan` for the next candidate.
 bool test_with_uniform(const TaskSet& ts, std::span<const std::size_t> members,
                        double x, std::vector<double>& scales,
-                       const GeOptions& options) {
+                       const GeOptions& options, std::size_t& first_scan) {
   for (std::size_t m = 0; m < members.size(); ++m) {
     scales[m] = ts[members[m]].level() == 2 ? x : 1.0;
   }
-  return !ge_violation(ts, members, scales, options).has_value();
+  std::array<std::vector<Curve>, 2> curves;
+  build_curves(ts, members, scales, curves[0], curves[1]);
+  std::array<double, 2> bounds{};
+  for (std::size_t mode = 0; mode < 2; ++mode) {
+    const std::optional<double> bound = analysis_bound(curves[mode]);
+    if (!bound || *bound > options.horizon_cap) return false;  // conservative
+    bounds[mode] = *bound;
+  }
+  for (const std::size_t mode : {first_scan, 1 - first_scan}) {
+    if (bounds[mode] > 0.0 &&
+        first_violation(curves[mode], bounds[mode]).has_value()) {
+      first_scan = mode;
+      return false;
+    }
+  }
+  return true;
 }
 
 GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
@@ -197,9 +216,12 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
                          static_cast<double>(options.scale_grid));
   }
   std::vector<double> scales(members.size(), 1.0);
+  // HI first: at x = 1, the first candidate, every HI curve steps at t = 0,
+  // so the HI scan usually rejects at its first breakpoint.
+  std::size_t first_scan = 1;
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_uniform(ts, members, x, scales, options)) {
+    if (test_with_uniform(ts, members, x, scales, options, first_scan)) {
       return accept(ts, members, scales);
     }
   }
@@ -217,6 +239,9 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
       std::min(8 * options.scale_grid * (hi_count + 1),
                options.greedy_iter_cap);
 
+  // The move taken last and the scale it moved from; see the cycle exit.
+  std::size_t last_moved = members.size();
+  double last_prior = 0.0;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     const auto violation = ge_violation(ts, members, scales, options);
     if (!violation) return accept(ts, members, scales);
@@ -245,7 +270,16 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
       }
     }
     if (best == members.size() || best_demand <= 0.0) return result;  // stuck
+    const double prior = scales[best];
     scales[best] += mode == 0 ? step : -step;
+    // Cycle exit.  A move that takes the last-moved scale back to the exact
+    // double it held before that move restores the state of two iterations
+    // ago.  The step is a pure function of the scales and both states of
+    // this 2-cycle have violated, so the loop could only alternate between
+    // them until the cap: reject now, as the cap would.
+    if (best == last_moved && scales[best] == last_prior) return result;
+    last_moved = best;
+    last_prior = prior;
   }
   return result;  // iteration cap: conservatively reject
 }

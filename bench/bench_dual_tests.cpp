@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
           out.push_back(std::make_unique<partition::ClassicPartitioner>(
               partition::FitRule::kFirst));
           out.push_back(std::make_unique<partition::CaTpaPartitioner>());
-          out.push_back(std::make_unique<partition::DbfFfdPartitioner>());
+          out.push_back(std::make_unique<partition::DemandFfdPartitioner>(
+              partition::DemandTest::kDbf));
           return out;
         }});
   }

@@ -20,40 +20,20 @@
 // T - d time to its restored real deadline); this omits Ekberg & Yi's
 // executed-LO-work credit, so it is a sound (conservative) simplification —
 // see DESIGN.md.  The test searches a grid of scale factors, seeded with
-// the EDF-VD analytical candidates, and returns the first x that passes.
+// the EDF-VD analytical candidates, and returns the first x that passes
+// (the search order is explained in demand_core.hpp).
 //
 // Complexity: per (x, mode) the demand is checked at every step point of
 // the summed dbf up to the busy-period bound — far costlier than the
 // utilization tests, which is exactly the trade-off [20] explores.
-//
-// Search order: a candidate passes only if four side-effect-free checks
-// all pass (the LO and HI busy-period bounds, the LO and HI step-point
-// scans), so their order cannot change the verdict and the cheapest go
-// first.  Both O(n) bounds go first, since a set with U_LO >= 1 fails the
-// LO bound at every candidate.  Then comes the scan that rejected the
-// previous candidate (HI for x = 1, where every HI curve steps at t = 0):
-// at large x the HI scan fails early while the LO scan passes in full, and
-// at small x the reverse, so a fixed order pays for one full passing scan
-// per candidate on one side of the grid.  dbf_dual_test_tuned's greedy
-// loop keeps LO before HI, because the first violation picks its move.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "mcs/core/taskset.hpp"
 
 namespace mcs::analysis {
-
-struct DbfOptions {
-  /// Hard cap on the analysis horizon: if the busy-period bound exceeds the
-  /// cap the test conservatively fails (soundness over completeness).
-  double horizon_cap = 100000.0;
-  /// Number of uniformly spaced scale candidates in (0, 1].
-  std::size_t scale_grid = 20;
-};
 
 struct DbfResult {
   bool schedulable = false;
@@ -73,33 +53,9 @@ struct DbfResult {
 /// Runs the DBF test on the subset `members` of `ts`.  Requires
 /// ts.num_levels() == 2; throws std::invalid_argument otherwise.
 [[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts,
-                                      std::span<const std::size_t> members,
-                                      const DbfOptions& options = {});
+                                      std::span<const std::size_t> members);
 
 /// Convenience: the whole set on one core.
-[[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts,
-                                      const DbfOptions& options = {});
-
-/// Per-task deadline tuning (Ekberg & Yi's algorithm in greedy form).
-struct DbfTunedResult {
-  bool schedulable = false;
-  /// Virtual-deadline scale per task index of the TaskSet (1.0 for LO tasks
-  /// and for tasks outside the analyzed subset); meaningful only when
-  /// schedulable.
-  std::vector<double> scales;
-};
-
-/// Like dbf_dual_test, but tunes each HI task's virtual-deadline scale
-/// individually: starting from the uniform solution (or a mid-grid guess),
-/// the greedy loop grows the scale of the worst LO-mode offender on an
-/// LO-test violation and shrinks the worst HI-mode offender on an HI-test
-/// violation, accepting only when both demand tests pass — so acceptance is
-/// sound by construction and a strict superset of the uniform test's.
-[[nodiscard]] DbfTunedResult dbf_dual_test_tuned(
-    const TaskSet& ts, std::span<const std::size_t> members,
-    const DbfOptions& options = {});
-
-[[nodiscard]] DbfTunedResult dbf_dual_test_tuned(
-    const TaskSet& ts, const DbfOptions& options = {});
+[[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts);
 
 }  // namespace mcs::analysis

@@ -127,10 +127,10 @@ std::uint64_t trace_now_ns() noexcept {
 }
 
 namespace trace_detail {
-void emit(TraceKind kind, const TraceSite& site, std::uint64_t ts_ns,
-          std::uint64_t dur_ns, std::uint64_t a0, std::uint64_t a1,
-          std::uint64_t a2) noexcept {
-  local_trace_ring().push(TraceRecord{&site, kind, ts_ns, dur_ns, a0, a1, a2});
+void emit(TraceKind kind, const TraceSite& site, std::uint64_t value,
+          std::uint64_t a0, std::uint64_t a1, std::uint64_t a2) noexcept {
+  TraceRing& ring = local_trace_ring();
+  ring.push(TraceRecord{&site, kind, trace_now_ns(), value, a0, a1, a2});
 }
 }  // namespace trace_detail
 

@@ -135,29 +135,34 @@ class TraceRing {
 /// first call, so all threads share one timeline).
 [[nodiscard]] std::uint64_t trace_now_ns() noexcept;
 
+// Every record takes this thread's ring *before* it reads the clock.  A
+// thread's first record may take over a ring that an exited thread parked;
+// taking it first keeps every parked record older than the new one, so each
+// ring's timestamps stay in push order and no track mixes the overlapping
+// lifetimes of two threads.
+
 namespace trace_detail {
-/// Out-of-line slow path: stamps nothing, just pushes to the local ring.
-void emit(TraceKind kind, const TraceSite& site, std::uint64_t ts_ns,
-          std::uint64_t dur_ns, std::uint64_t a0, std::uint64_t a1,
-          std::uint64_t a2) noexcept;
+/// Out-of-line slow path: takes the local ring, then stamps and pushes.
+/// `value` lands in dur_ns: a counter's sample, 0 for an instant.
+void emit(TraceKind kind, const TraceSite& site, std::uint64_t value,
+          std::uint64_t a0, std::uint64_t a1, std::uint64_t a2) noexcept;
 }  // namespace trace_detail
 
 inline void trace_instant(const TraceSite& site, std::uint64_t a0 = 0,
                           std::uint64_t a1 = 0, std::uint64_t a2 = 0) noexcept {
   if (!trace_enabled()) return;
-  trace_detail::emit(TraceKind::kInstant, site, trace_now_ns(), 0, a0, a1, a2);
+  trace_detail::emit(TraceKind::kInstant, site, 0, a0, a1, a2);
 }
 
 inline void trace_counter(const TraceSite& site,
                           std::uint64_t value) noexcept {
   if (!trace_enabled()) return;
-  trace_detail::emit(TraceKind::kCounter, site, trace_now_ns(), value, 0, 0,
-                     0);
+  trace_detail::emit(TraceKind::kCounter, site, value, 0, 0, 0);
 }
 
 /// Nestable span recorded as one "X" event at scope exit (exit-time records
-/// survive ring wrap-around better than begin/end pairs).  The clock is
-/// read only while armed.
+/// survive ring wrap-around better than begin/end pairs).  The ring is
+/// taken and the clock read only while armed.
 class ScopedSpan {
  public:
   /// Explicit arming, for sites that cache the enable flag outside a hot
@@ -172,15 +177,18 @@ class ScopedSpan {
 
   ScopedSpan(const TraceSite& site, Armed armed, std::uint64_t a0 = 0,
              std::uint64_t a1 = 0, std::uint64_t a2 = 0) noexcept
-      : site_(&site), armed_(armed.on), a0_(a0), a1_(a1), a2_(a2) {
-    if (armed_) start_ns_ = trace_now_ns();
+      : site_(&site), a0_(a0), a1_(a1), a2_(a2) {
+    if (armed.on) {
+      ring_ = &local_trace_ring();
+      start_ns_ = trace_now_ns();
+    }
   }
 
   ~ScopedSpan() {
-    if (!armed_) return;
+    if (ring_ == nullptr) return;
     const std::uint64_t now = trace_now_ns();
-    trace_detail::emit(TraceKind::kSpan, *site_, start_ns_, now - start_ns_,
-                       a0_, a1_, a2_);
+    ring_->push(TraceRecord{site_, TraceKind::kSpan, start_ns_,
+                            now - start_ns_, a0_, a1_, a2_});
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -188,7 +196,7 @@ class ScopedSpan {
 
  private:
   const TraceSite* site_;
-  bool armed_;
+  TraceRing* ring_ = nullptr;  ///< null while disarmed
   std::uint64_t start_ns_ = 0;
   std::uint64_t a0_, a1_, a2_;
 };

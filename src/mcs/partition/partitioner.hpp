@@ -12,11 +12,9 @@
 // feasible vs. minimum key); all probing state lives in an
 // analysis::PlacementEngine.
 //
-// The scalar loop-over-cores skeleton (select_core()/place_in_order()) is
-// kept as the reference implementation: reduce_core_choice() makes exactly
-// the decisions select_core() makes on the same candidates, and the batched
-// engine probes are bit-identical to the scalar ones, so both skeletons
-// produce the same partitions (golden parity + probe-parity fuzz target).
+// Schemes whose gate has a plane-backed 2-D form ride the lazy-lookahead
+// variant place_in_order_batched_2d(), which makes the same decisions
+// (golden parity + probe-parity fuzz target).
 #pragma once
 
 #include <cassert>
@@ -95,53 +93,11 @@ enum class SelectionRule {
                    ///< `tie_eps`) go to the smaller core index
 };
 
-/// Scans cores 0..num_cores-1 with `probe(m) -> std::optional<Candidate>`
-/// (nullopt = infeasible) and picks per `rule`.  The one core-scan loop
-/// every partitioner shares; probe counting happens inside the probe
-/// functor (normally via PlacementEngine).
-template <typename ProbeFn>
-[[nodiscard]] CoreChoice select_core(std::size_t num_cores, SelectionRule rule,
-                                     double tie_eps, ProbeFn&& probe) {
-  CoreChoice best;
-  for (std::size_t m = 0; m < num_cores; ++m) {
-    const std::optional<Candidate> candidate = probe(m);
-    if (!candidate) continue;
-    if (rule == SelectionRule::kFirstFeasible) {
-      best = CoreChoice{m, candidate->key, candidate->payload};
-      break;
-    }
-    if (candidate->key < best.key - tie_eps) {
-      best = CoreChoice{m, candidate->key, candidate->payload};
-    }
-  }
-  return best;
-}
-
-/// The scalar order-then-place loop (reference implementation): for each
-/// task of `order`, selects a core via select_core and commits it with
-/// `place(task, choice)`.  Returns the first unplaceable task, or nullopt
-/// when every task was placed.
-template <typename ProbeFn, typename PlaceFn>
-std::optional<std::size_t> place_in_order(std::span<const std::size_t> order,
-                                          std::size_t num_cores,
-                                          SelectionRule rule, double tie_eps,
-                                          ProbeFn&& probe, PlaceFn&& place) {
-  for (const std::size_t t : order) {
-    const CoreChoice choice = select_core(
-        num_cores, rule, tie_eps,
-        [&](std::size_t m) { return probe(t, m); });
-    if (choice.core == kUnassigned) return t;
-    place(t, choice);
-  }
-  return std::nullopt;
-}
-
 /// Reduces a batched probe's result vector to a core choice: core m is
 /// usable when feasible[m] != 0, its key/payload sit in candidates[m].
-/// Decision-for-decision identical to select_core() over the same
-/// candidates: first feasible stops at the lowest usable index; min-key
-/// scans ascending and replaces the incumbent only when
-/// key < best.key - tie_eps, so ties go to the smaller core index.
+/// First feasible stops at the lowest usable index; min-key scans
+/// ascending and replaces the incumbent only when key < best.key - tie_eps,
+/// so ties go to the smaller core index.
 [[nodiscard]] CoreChoice reduce_core_choice(
     std::span<const Candidate> candidates,
     std::span<const unsigned char> feasible, SelectionRule rule,

@@ -2,9 +2,8 @@
 
 #include <stdexcept>
 
-#include "mcs/partition/dbf_ffd.hpp"
+#include "mcs/partition/demand_ffd.hpp"
 #include "mcs/partition/fp_amc.hpp"
-#include "mcs/partition/ge_ffd.hpp"
 #include "mcs/partition/ud_tpa.hpp"
 
 namespace mcs::partition {
@@ -45,13 +44,13 @@ std::unique_ptr<Partitioner> make_scheme(const std::string& name,
     return std::make_unique<FpAmcPartitioner>();
   }
   if (name == "DBF-FFD") {
-    return std::make_unique<DbfFfdPartitioner>();
+    return std::make_unique<DemandFfdPartitioner>(DemandTest::kDbf);
   }
   if (name == "UD-TPA") {
     return std::make_unique<UdTpaPartitioner>();
   }
   if (name == "GE-FFD") {
-    return std::make_unique<GeFfdPartitioner>();
+    return std::make_unique<DemandFfdPartitioner>(DemandTest::kGe);
   }
   throw std::invalid_argument("make_scheme: unknown scheme '" + name + "'");
 }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mcs/obs/trace.hpp"
+#include "mcs/partition/demand_ffd.hpp"
 
 namespace mcs::partition {
 
@@ -106,17 +107,12 @@ PlacementOutcome UdTpaPartitioner::run_on(
     return outcome;
   }
 
-  // GE gate: a scalar all-cores loop (count_probe per core) over member
-  // lists like DBF-FFD's gate — it has no plane-backed 2-D form, so it
-  // stays on the 1-D skeleton.
+  // GE gate: GE-FFD's member-list gate on every core.  It has no
+  // plane-backed 2-D form, so it stays on the 1-D skeleton.
   std::vector<std::size_t> members;  // reused across GE probes
   const auto gate = [&](std::size_t t, std::span<unsigned char> feasible) {
     for (std::size_t m = 0; m < feasible.size(); ++m) {
-      engine.count_probe();
-      members = engine.partition().tasks_on(m);
-      members.push_back(t);
-      feasible[m] =
-          analysis::ge_dual_test(ts, members, ge_options_).schedulable ? 1 : 0;
+      feasible[m] = demand_fits(engine, DemandTest::kGe, t, m, members);
     }
   };
 

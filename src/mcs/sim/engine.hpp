@@ -72,7 +72,7 @@ struct SimConfig {
   /// the task set has exactly two levels.
   double dual_scale_override = 0.0;
   /// Dual-criticality only: per-task LO-mode virtual-deadline scales
-  /// indexed by task index (e.g. from analysis::dbf_dual_test_tuned).
+  /// indexed by task index (e.g. from analysis::ge_dual_test).
   /// Entries outside (0, 1] and LO tasks are ignored.  Takes precedence
   /// over dual_scale_override when non-empty.
   std::vector<double> dual_scales;

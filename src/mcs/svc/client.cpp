@@ -67,7 +67,10 @@ util::Json Client::roundtrip(const std::string& text) {
   const char* p = text.data();
   const char* const end = p + text.size();
   while (p < end) {
-    const ssize_t n = ::write(fd_, p, static_cast<std::size_t>(end - p));
+    // MSG_NOSIGNAL: a server that hung up surfaces as the error below, not
+    // as a SIGPIPE that kills the caller.
+    const ssize_t n =
+        ::send(fd_, p, static_cast<std::size_t>(end - p), MSG_NOSIGNAL);
     if (n <= 0) {
       throw std::runtime_error("mcs_serve client: connection lost on send");
     }

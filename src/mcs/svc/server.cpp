@@ -60,11 +60,13 @@ class FdStreamBuf final : public std::streambuf {
   int sync() override { return flush_out(); }
 
  private:
+  // MSG_NOSIGNAL: a client that hung up before its reply gets EPIPE here,
+  // which ends its connection, instead of a SIGPIPE that ends the daemon.
   int flush_out() {
     const char* p = pbase();
     while (p < pptr()) {
-      const ssize_t n =
-          ::write(fd_, p, static_cast<std::size_t>(pptr() - p));
+      const ssize_t n = ::send(fd_, p, static_cast<std::size_t>(pptr() - p),
+                               MSG_NOSIGNAL);
       if (n <= 0) return -1;
       p += n;
     }

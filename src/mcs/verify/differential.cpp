@@ -16,7 +16,6 @@
 #include "mcs/analysis/placement.hpp"
 #include "mcs/gen/rng.hpp"
 #include "mcs/io/taskset_io.hpp"
-#include "mcs/partition/dbf_ffd.hpp"
 #include "mcs/partition/fp_amc.hpp"
 #include "mcs/partition/registry.hpp"
 #include "mcs/sim/scenario.hpp"

@@ -142,7 +142,7 @@ OracleOptions options_for_scheme(const std::string& scheme,
   OracleOptions opts;
   opts.seed = seed;
   if (scheme == "FP-AMC") opts.runtime = RuntimeKind::kFixedPriority;
-  if (scheme == "DBF-FFD" || scheme == "DBF-FFD/contrib") {
+  if (scheme == "DBF-FFD") {
     const TaskSet& ts = partition.taskset();
     opts.dual_scales.assign(ts.size(), 1.0);
     for (std::size_t m = 0; m < partition.num_cores(); ++m) {

@@ -110,7 +110,7 @@ TEST(DemandParityTest, RandomSubsetsMatchTheReferenceBitForBit) {
 
         reference::GeTuning tuning;
         const GeResult want_ge =
-            reference::ge_dual_test(ts, members, {}, &tuning);
+            reference::ge_dual_test(ts, members, &tuning);
         ASSERT_TRUE(same_ge(ge_dual_test(ts, members), want_ge))
             << describe(ts, members);
         const DbfResult want_dbf = reference::dbf_dual_test(ts, members);
@@ -158,7 +158,7 @@ TEST(DemandParityTest, PingPongTuningRejectsLikeTheCap) {
       2);
   const std::vector<std::size_t> members = all_of(ts);
   reference::GeTuning tuning;
-  const GeResult want = reference::ge_dual_test(ts, members, {}, &tuning);
+  const GeResult want = reference::ge_dual_test(ts, members, &tuning);
   ASSERT_TRUE(tuning.entered);
   EXPECT_TRUE(tuning.hit_cap);
   EXPECT_TRUE(tuning.undid_move);
@@ -185,7 +185,7 @@ TEST(DemandParityTest, TuningTierAcceptanceKeepsItsScales) {
       2);
   const std::vector<std::size_t> members = all_of(ts);
   reference::GeTuning tuning;
-  const GeResult want = reference::ge_dual_test(ts, members, {}, &tuning);
+  const GeResult want = reference::ge_dual_test(ts, members, &tuning);
   ASSERT_TRUE(tuning.entered);
   EXPECT_EQ(tuning.moves, 2u);
   EXPECT_FALSE(tuning.hit_cap);

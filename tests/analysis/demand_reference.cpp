@@ -12,6 +12,16 @@
 
 namespace mcs::analysis::reference {
 
+namespace {
+
+// The gates' fixed search parameters, copied rather than shared so that a
+// change on the library side shows up as a parity failure.
+constexpr double kHorizonCap = 100000.0;
+constexpr std::size_t kScaleGrid = 20;
+constexpr std::size_t kGreedyIterCap = 48;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ge_dual_test (credited Ekberg-Yi curves, uniform tier then greedy tuning)
 // ---------------------------------------------------------------------------
@@ -109,14 +119,14 @@ void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
 
 std::optional<std::pair<int, double>> ge_violation(
     const TaskSet& ts, std::span<const std::size_t> members,
-    std::span<const double> scales, const GeOptions& options) {
+    std::span<const double> scales) {
   std::vector<Curve> lo_curves;
   std::vector<Curve> hi_curves;
   build_curves(ts, members, scales, lo_curves, hi_curves);
   int mode = 0;
   for (const auto* curves : {&lo_curves, &hi_curves}) {
     const std::optional<double> bound = analysis_bound(*curves);
-    if (!bound || *bound > options.horizon_cap) {
+    if (!bound || *bound > kHorizonCap) {
       return std::make_pair(mode, 0.0);
     }
     if (*bound > 0.0) {
@@ -130,12 +140,11 @@ std::optional<std::pair<int, double>> ge_violation(
 }
 
 bool test_with_uniform(const TaskSet& ts, std::span<const std::size_t> members,
-                       double x, std::vector<double>& scales,
-                       const GeOptions& options) {
+                       double x, std::vector<double>& scales) {
   for (std::size_t m = 0; m < members.size(); ++m) {
     scales[m] = ts[members[m]].level() == 2 ? x : 1.0;
   }
-  return !ge_violation(ts, members, scales, options).has_value();
+  return !ge_violation(ts, members, scales).has_value();
 }
 
 GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
@@ -152,7 +161,7 @@ GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
 }  // namespace
 
 GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
-                      const GeOptions& options, GeTuning* tuning) {
+                      GeTuning* tuning) {
   GeTuning local;
   GeTuning& trace = tuning != nullptr ? *tuning : local;
   trace = GeTuning{};
@@ -173,19 +182,19 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
   const double u22 = u.level_util(2, 2);
   if (u22 > 0.0 && u22 < 1.0) candidates.push_back(1.0 - u22);
   candidates.push_back(dual_scaling_factor(u));
-  for (std::size_t g = 1; g <= options.scale_grid; ++g) {
+  for (std::size_t g = 1; g <= kScaleGrid; ++g) {
     candidates.push_back(static_cast<double>(g) /
-                         static_cast<double>(options.scale_grid));
+                         static_cast<double>(kScaleGrid));
   }
   std::vector<double> scales(members.size(), 1.0);
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_uniform(ts, members, x, scales, options)) {
+    if (test_with_uniform(ts, members, x, scales)) {
       return accept(ts, members, scales);
     }
   }
 
-  const double step = 1.0 / static_cast<double>(options.scale_grid);
+  const double step = 1.0 / static_cast<double>(kScaleGrid);
   std::size_t hi_count = 0;
   for (std::size_t m : members) hi_count += ts[m].level() == 2 ? 1u : 0u;
   if (hi_count == 0) return result;
@@ -194,13 +203,12 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
     scales[m] = ts[members[m]].level() == 2 ? 0.5 : 1.0;
   }
   const std::size_t max_iter =
-      std::min(8 * options.scale_grid * (hi_count + 1),
-               options.greedy_iter_cap);
+      std::min(8 * kScaleGrid * (hi_count + 1), kGreedyIterCap);
 
   std::size_t last_moved = members.size();
   double last_prior = 0.0;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
-    const auto violation = ge_violation(ts, members, scales, options);
+    const auto violation = ge_violation(ts, members, scales);
     if (!violation) return accept(ts, members, scales);
     const auto [mode, t] = *violation;
     std::size_t best = members.size();
@@ -310,7 +318,7 @@ std::optional<double> analysis_bound(
 }
 
 bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
-                     double x, const DbfOptions& options) {
+                     double x) {
   std::vector<std::array<double, 3>> lo_curves;
   std::vector<std::array<double, 3>> hi_curves;
   for (std::size_t i : members) {
@@ -326,7 +334,7 @@ bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
   for (const auto* curves : {&lo_curves, &hi_curves}) {
     const std::optional<double> bound = analysis_bound(*curves);
     if (!bound) return false;
-    if (*bound > options.horizon_cap) return false;
+    if (*bound > kHorizonCap) return false;
     if (*bound > 0.0 && !demand_fits(*curves, *bound)) return false;
   }
   return true;
@@ -335,8 +343,7 @@ bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
 }  // namespace
 
 DbfResult dbf_dual_test(const TaskSet& ts,
-                        std::span<const std::size_t> members,
-                        const DbfOptions& options) {
+                        std::span<const std::size_t> members) {
   if (ts.num_levels() != 2) {
     throw std::invalid_argument(
         "dbf_dual_test: requires a dual-criticality task set");
@@ -349,13 +356,13 @@ DbfResult dbf_dual_test(const TaskSet& ts,
   const double u22 = u.level_util(2, 2);
   if (u22 > 0.0 && u22 < 1.0) candidates.push_back(1.0 - u22);
   candidates.push_back(dual_scaling_factor(u));
-  for (std::size_t g = 1; g <= options.scale_grid; ++g) {
+  for (std::size_t g = 1; g <= kScaleGrid; ++g) {
     candidates.push_back(static_cast<double>(g) /
-                         static_cast<double>(options.scale_grid));
+                         static_cast<double>(kScaleGrid));
   }
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_scale(ts, members, x, options)) {
+    if (test_with_scale(ts, members, x)) {
       return DbfResult{.schedulable = true, .scale = x};
     }
   }

@@ -27,11 +27,9 @@ struct GeTuning {
 
 [[nodiscard]] GeResult ge_dual_test(const TaskSet& ts,
                                     std::span<const std::size_t> members,
-                                    const GeOptions& options = {},
                                     GeTuning* tuning = nullptr);
 
 [[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts,
-                                      std::span<const std::size_t> members,
-                                      const DbfOptions& options = {});
+                                      std::span<const std::size_t> members);
 
 }  // namespace mcs::analysis::reference

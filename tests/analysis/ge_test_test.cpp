@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "mcs/analysis/dbf.hpp"
 #include "mcs/gen/taskset_generator.hpp"
+#include "mcs/sim/engine.hpp"
 
 namespace mcs::analysis {
 namespace {
@@ -24,6 +27,23 @@ TEST(GeDbfHiTest, CreditedCurveMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(ge_dbf_hi(task, 14.0, 0.5), 4.0);  // still one job
   EXPECT_DOUBLE_EQ(ge_dbf_hi(task, 15.0, 0.5), 6.0);  // 8 - (2 - 0)
   EXPECT_DOUBLE_EQ(ge_dbf_hi(task, 17.5, 0.5), 8.0);
+}
+
+// The credited curve at breakpoints reached by adding periods, pinned bit
+// for bit (T = 100.3, x = 0.55, C(LO) = 20, C(HI) = 50).  At t, three jobs
+// are due and the carry-over job has run r = 10.03 of its credit:
+// 150 - (20 - 10.03).  At t_hi, HI's own accumulated third step, the credit
+// is whole up to the rounding error the floor tolerance leaves in r.
+TEST(GeDbfHiTest, AccumulatedBreakpointKeepsCreditedValue) {
+  const double period = 100.3;
+  const double x = 0.55;
+  const McTask hi(0, {20.0, 50.0}, period);
+  const double t = (x * period + period) + period;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ge_dbf_hi(hi, t, x)),
+            std::bit_cast<std::uint64_t>(0x1.180f5c28f5c29p+7));  // 140.03
+  const double t_hi = ((period - x * period) + period) + period;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ge_dbf_hi(hi, t_hi, x)),
+            std::bit_cast<std::uint64_t>(0x1.0400000000001p+7));  // 130+
 }
 
 TEST(GeDbfHiTest, LoTaskHasNoHiDemand) {
@@ -113,6 +133,68 @@ TEST(GeDualTest, DominatesDbfDualTest) {
   }
   EXPECT_GT(dbf_accepts, 0u) << "grid never exercised the dominance check";
 }
+
+/// Runs `ts` on one core at the accepted per-task scales, once with every
+/// HI job overrunning and once with a random mix, and expects no misses.
+void expect_no_runtime_misses(const TaskSet& ts, const GeResult& ge,
+                              std::uint64_t seed) {
+  Partition partition(ts, 1);
+  for (std::size_t i = 0; i < ts.size(); ++i) partition.assign(i, 0);
+  sim::SimConfig config;
+  config.dual_scales = ge.scales;
+  EXPECT_TRUE(
+      simulate(partition, sim::FixedLevelScenario(2), config).misses.empty())
+      << "all HI jobs overrun, seed " << seed;
+  EXPECT_TRUE(simulate(partition, sim::RandomScenario(seed, 0.5), config)
+                  .misses.empty())
+      << "random overruns, seed " << seed;
+}
+
+class GePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Soundness at runtime: a GE-accepted set executed under EDF-VD at the
+// accepted per-task scales never misses, whatever the jobs do.
+TEST_P(GePropertyTest, AcceptedScalesNeverMissAtRuntime) {
+  gen::GenParams params;
+  params.num_levels = 2;
+  params.num_cores = 1;
+  params.nsu = 0.65;
+  params.num_tasks = 8;
+  params.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
+  std::size_t accepted = 0;
+  for (std::uint64_t trial = 0; trial < 25; ++trial) {
+    const TaskSet ts = gen::generate_trial(params, GetParam(), trial);
+    const GeResult ge = ge_dual_test(ts);
+    if (!ge.schedulable) continue;
+    ++accepted;
+    expect_no_runtime_misses(ts, ge, trial);
+  }
+  EXPECT_GT(accepted, 3u);
+}
+
+// The grid above rarely needs the tuning tier, so run one set that does:
+// tier 1 rejects every uniform scale and two moves leave the HI tasks at
+// different scales (the set of DemandParityTest's tuning-tier case).
+TEST(GeDualTest, TunedScalesNeverMissAtRuntime) {
+  const TaskSet ts = dual({
+      McTask(0, {0x1.6183589a3c41dp+4}, 0x1.1cfc6562548ebp+7),
+      McTask(1, {0x1.941b2d96fc285p+5, 0x1.4d2e36b1e5f4cp+6},
+             0x1.30aff059a43cfp+8),
+      McTask(2, {0x1.0c19ad2318324p+6, 0x1.ba173af3ea345p+6},
+             0x1.37ba656c0caeap+8),
+      McTask(3, {0x1.73a2bfee5062ap+3}, 0x1.90abbae3903d9p+5),
+  });
+  EXPECT_FALSE(dbf_dual_test(ts).schedulable);
+  const GeResult ge = ge_dual_test(ts);
+  ASSERT_TRUE(ge.schedulable);
+  ASSERT_NE(ge.scales[1], ge.scales[2]);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_no_runtime_misses(ts, ge, seed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GePropertyTest,
+                         ::testing::Values(81u, 82u, 83u));
 
 // Determinism: the gate result feeds golden parity and the oracle's scale
 // re-derivation, so two runs must agree bit for bit.

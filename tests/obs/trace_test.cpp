@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "mcs/util/json.hpp"
@@ -113,6 +115,45 @@ TEST(ObsTrace, PerThreadIsolationUnderThreadPool) {
   for (std::size_t i = 0; i < kIters; ++i) {
     EXPECT_EQ(seen.count(i), 1u) << "index " << i;
   }
+}
+
+// Forces the interleaving behind ring reuse: thread B opens a span, then
+// thread A records an instant and exits, parking its ring, and only then
+// does B close the span.  A span that took its ring only at exit would land
+// in A's parked ring, after A's newer instant, and on A's track.
+TEST(ObsTrace, SpanKeepsTheRingItOpenedOn) {
+  const TraceEnabledGuard on(true);
+  reset_trace();
+  std::latch span_open(1);
+  std::latch other_exited(1);
+  std::thread b([&] {
+    const ScopedSpan span(kSpanSite, 1, 2);
+    span_open.count_down();
+    other_exited.wait();
+  });
+  std::thread a([&] {
+    span_open.wait();
+    trace_instant(kInstantSite, 3);
+  });
+  a.join();  // A's thread-exit handler has parked its ring
+  other_exited.count_down();
+  b.join();
+
+  std::size_t span_track = 0;
+  std::size_t instant_track = 0;
+  std::size_t found = 0;
+  for (const ThreadTrace& thread : collect_trace().threads) {
+    std::uint64_t last_ts = 0;
+    for (const TraceRecord& record : thread.records) {
+      EXPECT_GE(record.ts_ns, last_ts) << "track " << thread.track;
+      last_ts = record.ts_ns;
+      if (record.site == &kSpanSite) span_track = thread.track;
+      if (record.site == &kInstantSite) instant_track = thread.track;
+      ++found;
+    }
+  }
+  ASSERT_EQ(found, 2u);
+  EXPECT_NE(span_track, instant_track);
 }
 
 TEST(ObsTrace, ChromeExportIsWellFormed) {

@@ -1,46 +1,23 @@
-#include "mcs/partition/dbf_ffd.hpp"
+#include "mcs/partition/demand_ffd.hpp"
 
 #include <gtest/gtest.h>
 
+#include "mcs/analysis/dbf.hpp"
 #include "mcs/gen/taskset_generator.hpp"
 #include "mcs/partition/classic.hpp"
 
 namespace mcs::partition {
 namespace {
 
-TEST(DbfFfdTest, Name) {
-  EXPECT_EQ(DbfFfdPartitioner().name(), "DBF-FFD");
-  EXPECT_EQ(DbfFfdPartitioner(analysis::DbfOptions{}, true).name(),
-            "DBF-FFD/contrib");
-}
+const DemandFfdPartitioner kDbfFfd(DemandTest::kDbf);
 
-TEST(DbfFfdTest, ContributionOrderingVariantAlsoProducesFeasiblePartitions) {
-  gen::GenParams params;
-  params.num_levels = 2;
-  params.num_cores = 2;
-  params.nsu = 0.6;
-  params.num_tasks = 10;
-  params.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
-  const DbfFfdPartitioner scheme(analysis::DbfOptions{}, true);
-  std::size_t ok = 0;
-  for (std::uint64_t trial = 0; trial < 15; ++trial) {
-    const TaskSet ts = gen::generate_trial(params, 53, trial);
-    const PartitionResult r = scheme.run(ts, params.num_cores);
-    if (!r.success) continue;
-    ++ok;
-    for (std::size_t core = 0; core < params.num_cores; ++core) {
-      EXPECT_TRUE(
-          analysis::dbf_dual_test(ts, r.partition.tasks_on(core)).schedulable);
-    }
-  }
-  EXPECT_GT(ok, 5u);
-}
+TEST(DbfFfdTest, Name) { EXPECT_EQ(kDbfFfd.name(), "DBF-FFD"); }
 
 TEST(DbfFfdTest, RequiresDualCriticality) {
   std::vector<McTask> tasks;
   tasks.emplace_back(0, std::vector<double>{1.0, 2.0, 3.0}, 10.0);
   const TaskSet ts(std::move(tasks), 3);
-  EXPECT_THROW((void)DbfFfdPartitioner().run(ts, 2), std::invalid_argument);
+  EXPECT_THROW((void)kDbfFfd.run(ts, 2), std::invalid_argument);
 }
 
 TEST(DbfFfdTest, PartitionsEasyWorkloads) {
@@ -49,7 +26,7 @@ TEST(DbfFfdTest, PartitionsEasyWorkloads) {
   tasks.emplace_back(1, std::vector<double>{1.0, 3.0}, 10.0);
   tasks.emplace_back(2, std::vector<double>{4.0}, 20.0);
   const TaskSet ts(std::move(tasks), 2);
-  const PartitionResult r = DbfFfdPartitioner().run(ts, 2);
+  const PartitionResult r = kDbfFfd.run(ts, 2);
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(r.partition.complete());
 }
@@ -60,7 +37,7 @@ TEST(DbfFfdTest, ReportsFailureOnOverload) {
     tasks.emplace_back(i, std::vector<double>{10.0, 90.0}, 100.0);
   }
   const TaskSet ts(std::move(tasks), 2);
-  const PartitionResult r = DbfFfdPartitioner().run(ts, 2);
+  const PartitionResult r = kDbfFfd.run(ts, 2);
   EXPECT_FALSE(r.success);
   ASSERT_TRUE(r.failed_task.has_value());
 }
@@ -72,13 +49,12 @@ TEST(DbfFfdTest, AcceptsAtLeastAsManySetsAsUtilizationFfd) {
   params.nsu = 0.7;
   params.num_tasks = 12;
   params.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
-  const DbfFfdPartitioner dbf;
   const ClassicPartitioner ffd(FitRule::kFirst);
   std::size_t dbf_ok = 0;
   std::size_t ffd_ok = 0;
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
     const TaskSet ts = gen::generate_trial(params, 51, trial);
-    if (dbf.run(ts, params.num_cores).success) ++dbf_ok;
+    if (kDbfFfd.run(ts, params.num_cores).success) ++dbf_ok;
     if (ffd.run(ts, params.num_cores).success) ++ffd_ok;
   }
   // The finer (and costlier) test should not lose overall; allow a small
@@ -94,10 +70,9 @@ TEST(DbfFfdTest, AcceptedCoresPassTheDbfTest) {
   params.nsu = 0.5;
   params.num_tasks = 10;
   params.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
-  const DbfFfdPartitioner dbf;
   for (std::uint64_t trial = 0; trial < 15; ++trial) {
     const TaskSet ts = gen::generate_trial(params, 52, trial);
-    const PartitionResult r = dbf.run(ts, params.num_cores);
+    const PartitionResult r = kDbfFfd.run(ts, params.num_cores);
     if (!r.success) continue;
     for (std::size_t core = 0; core < params.num_cores; ++core) {
       EXPECT_TRUE(

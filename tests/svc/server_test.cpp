@@ -197,6 +197,35 @@ TEST(ServerTest, MalformedFramingClosesConnectionAfterError) {
   EXPECT_TRUE(client.ping().at("ok").as_bool());
 }
 
+// A client that hangs up before its reply is written must not take the
+// daemon down.  With one worker, the second client's ping waits behind an
+// idle connection; the client sends it and hangs up, then the idle client
+// leaves, so the reply goes to a closed socket.
+TEST(ServerTest, ClientGoneBeforeItsReplyLeavesTheServerUp) {
+  ServerConfig config = test_config("hangup");
+  config.workers = 1;
+  Server server(config);
+  {
+    Client idle(server.socket_path());
+    ASSERT_TRUE(idle.ping().at("ok").as_bool());  // the worker now owns it
+    const RawConnection gone(server.socket_path());
+    gone.send("mcs-serve/1 1 ping\n");
+  }  // `gone` closes first, then `idle`
+
+  Client client(server.socket_path());
+  EXPECT_TRUE(client.ping().at("ok").as_bool());
+}
+
+// The client side of the same hazard: a request on a connection the server
+// already closed is an error the caller can catch.
+TEST(ServerTest, ClientReportsAConnectionTheServerClosed) {
+  Server server(test_config("closed"));
+  Client client(server.socket_path());
+  EXPECT_TRUE(client.shutdown().at("ok").as_bool());
+  server.wait();  // the worker has closed the connection
+  EXPECT_THROW((void)client.ping(), std::runtime_error);
+}
+
 TEST(ServerTest, ShutdownRequestStopsTheServer) {
   const ServerConfig config = test_config("shutdown");
   Server server(config);

@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
       {{"trials", "task sets per data point (default 200; the DBF probes "
                   "dominate the cost)"},
        {"seed", "base RNG seed (default 1)"},
-       {"threads", "worker threads (default: hardware concurrency)"},
+       {"threads", "worker threads for the whole sweep (default and 0: "
+                   "hardware concurrency, which also caps it)"},
        {"csv", "also write results to this CSV file"}});
   if (cli.help_requested()) {
     std::cout << cli.usage("bench_dual_tests");
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   options.trials = cli.get_or("trials", std::uint64_t{200});
   options.seed = cli.get_or("seed", std::uint64_t{1});
   options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
+      util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
 
   exp::Sweep sweep;
   sweep.name = "dual_tests";

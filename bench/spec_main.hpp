@@ -28,7 +28,8 @@ inline int spec_main(int argc, char** argv, const std::string& spec_name,
   std::map<std::string, std::string> allowed{
       {"trials", "task sets per data point (default 2000)"},
       {"seed", "base RNG seed (default 1)"},
-      {"threads", "worker threads (default: hardware concurrency)"},
+      {"threads", "worker threads for the whole sweep (default and 0: "
+                  "hardware concurrency, which also caps it)"},
       {"alpha", "CA-TPA imbalance threshold (default 0.7)"},
       {"csv", "also write results to this CSV file"}};
   if (figure_style) {
@@ -46,7 +47,7 @@ inline int spec_main(int argc, char** argv, const std::string& spec_name,
                        : cli.get_or("trials", exp::kDefaultTrials);
   options.seed = cli.get_or("seed", std::uint64_t{1});
   options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
+      util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
   const double alpha = cli.get_or("alpha", exp::kDefaultAlpha);
 
   const exp::Sweep sweep = to_sweep(*spec, alpha);

@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
        {"point", "run a single point instead of a figure sweep"},
        {"trials", "task sets per data point (default 2000; paper: 50000)"},
        {"seed", "base RNG seed (default 1)"},
-       {"threads", "worker threads per point (default: hardware concurrency)"},
-       {"jobs",
-        "run N sweep points concurrently (default 1; clamped to hardware "
-        "concurrency; results are bit-identical for any N)"},
+       {"threads",
+        "worker threads for the whole sweep (default and 0: hardware "
+        "concurrency, which also caps it; results are bit-identical for "
+        "any count)"},
        {"csv", "also write results to this CSV file"},
        {"cores", "M for --point (default 8)"},
        {"levels", "K for --point (default 4)"},
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   options.trials = cli.get_or("trials", exp::kDefaultTrials);
   options.seed = cli.get_or("seed", std::uint64_t{1});
   options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
+      util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
   const double alpha = cli.get_or("alpha", exp::kDefaultAlpha);
 
   if (cli.has("point")) {
@@ -79,21 +79,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::size_t jobs = 1;
-  try {
-    jobs = svc::resolve_jobs(cli.get_or("jobs", std::uint64_t{1}));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "sweep_cli: " << e.what() << '\n';
-    return 1;
-  }
-
-  const auto progress = [](std::size_t done, std::size_t total) {
-    std::cerr << "point " << done << "/" << total << " done\n";
-  };
-  const exp::Sweep sweep = to_sweep(*spec, alpha);
-  const exp::SweepResult result =
-      jobs > 1 ? svc::run_sweep_parallel(sweep, options, jobs, progress)
-               : run_sweep(sweep, options, progress);
+  const exp::SweepResult result = run_sweep(
+      to_sweep(*spec, alpha), options, [](std::size_t done, std::size_t total) {
+        std::cerr << "point " << done << "/" << total << " done\n";
+      });
   print_figure(std::cout, result, spec->title);
   if (const auto csv = cli.get("csv")) {
     write_csv(*csv, result);

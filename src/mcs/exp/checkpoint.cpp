@@ -109,11 +109,13 @@ PointCheckpoint point_from_json(const util::Json& json) {
 }
 
 std::optional<CheckpointData> load_checkpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
 
+  // A line counts only with its newline: a completed append always ends in
+  // one, so a line cut short at end of file is a torn write.
   std::string line;
-  if (!std::getline(in, line)) return std::nullopt;
+  if (!std::getline(in, line) || in.eof()) return std::nullopt;
 
   CheckpointData data;
   try {
@@ -128,13 +130,15 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
+  data.records_end = static_cast<std::uintmax_t>(in.tellg());
 
-  while (std::getline(in, line)) {
+  while (std::getline(in, line) && !in.eof()) {
     if (line.empty()) continue;
     try {
       const util::Json record = util::Json::parse(line);
       if (record.at("kind").as_string() != "point") break;
       data.points.push_back(point_from_json(record));
+      data.records_end = static_cast<std::uintmax_t>(in.tellg());
     } catch (const std::exception&) {
       // A truncated trailing line means the previous run died mid-write;
       // the point it described simply reruns.

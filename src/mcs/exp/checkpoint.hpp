@@ -14,12 +14,12 @@
 //   line 2+: {"kind":"point","index":…,"x":…,"schemes":[…],"counters":{…}}
 //
 // A truncated trailing line (the process was killed mid-write) is ignored
-// on load; a fingerprint mismatch invalidates the whole file.
+// on load and cut off on resume; a fingerprint mismatch invalidates the
+// whole file.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,14 +38,6 @@ namespace mcs::exp {
 [[nodiscard]] util::Json welford_to_json(const util::Welford& w);
 [[nodiscard]] util::Welford welford_from_json(const util::Json& json);
 
-/// One completed experiment point: its aggregates plus the deterministic
-/// observability counter deltas recorded while it ran.
-struct PointCheckpoint {
-  std::size_t index = 0;
-  PointResult result;
-  std::map<std::string, std::uint64_t> counters;
-};
-
 [[nodiscard]] util::Json point_to_json(const PointCheckpoint& point);
 [[nodiscard]] PointCheckpoint point_from_json(const util::Json& json);
 
@@ -55,10 +47,16 @@ struct CheckpointData {
   std::string fingerprint;
   std::size_t total_points = 0;
   std::vector<PointCheckpoint> points;
+  /// Byte offset just past the last line the loader accepted (the header or
+  /// a point record).  A resumed run truncates the file here before it
+  /// appends, so a torn tail never prefixes the next record.
+  std::uintmax_t records_end = 0;
 };
 
 /// Loads a checkpoint; nullopt when the file is missing or its header is
-/// unreadable.  Unparsable trailing point lines are dropped silently.
+/// unreadable.  Loading stops at the first point line that does not parse
+/// or lacks its newline (a torn write); that line and the rest are
+/// dropped silently.
 [[nodiscard]] std::optional<CheckpointData> load_checkpoint(
     const std::string& path);
 

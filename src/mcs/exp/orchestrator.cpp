@@ -3,41 +3,21 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include "mcs/exp/report.hpp"
 #include "mcs/obs/metrics.hpp"
-#include "mcs/obs/trace.hpp"
 #include "mcs/util/table.hpp"
 
 namespace mcs::exp {
 
 namespace {
 
-constexpr obs::TraceSite kPointSite{"exp.point", "index", "fingerprint"};
-
-/// The spec fingerprint as a span arg: the 16-hex-digit FNV-1a string,
-/// parsed back to its u64 (0 when malformed, which cannot happen for
-/// spec_fingerprint output).
-std::uint64_t fingerprint_arg(const std::string& fingerprint) noexcept {
-  std::uint64_t value = 0;
-  for (const char c : fingerprint) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return 0;
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-util::Json artifact_json(const SweepSpec& spec, const SpecRunOptions& options,
-                         const std::string& fingerprint,
-                         const std::vector<PointCheckpoint>& points) {
+util::Json artifact_json(
+    const SweepSpec& spec, const SpecRunOptions& options,
+    const std::string& fingerprint,
+    const std::vector<std::optional<PointCheckpoint>>& points) {
   util::Json out = util::Json::object();
   out.set("format", util::Json::string("mcs-exp-artifact/1"));
   out.set("spec", util::Json::string(spec.name));
@@ -51,11 +31,33 @@ util::Json artifact_json(const SweepSpec& spec, const SpecRunOptions& options,
   out.set("source", util::Json::string(options.source));
   out.set("fingerprint", util::Json::string(fingerprint));
   util::Json point_array = util::Json::array();
-  for (const PointCheckpoint& point : points) {
-    point_array.push(point_to_json(point));
+  for (const std::optional<PointCheckpoint>& point : points) {
+    point_array.push(point_to_json(*point));
   }
   out.set("points", std::move(point_array));
   return out;
+}
+
+/// Writes <name>.json/<name>.csv for a completed run, filling
+/// out.json_path / out.csv_path, and then removes the checkpoint unless
+/// options.keep_checkpoint.  Throws before the removal when an artifact
+/// cannot be written, so the run's work survives in the checkpoint.
+void write_artifacts(const SweepSpec& spec, const SpecRunOptions& options,
+                     const std::vector<std::optional<PointCheckpoint>>& done,
+                     SpecRunResult& out) {
+  out.json_path = options.artifacts_dir + "/" + spec.name + ".json";
+  std::ofstream json_out(out.json_path);
+  json_out << artifact_json(spec, options, out.fingerprint, done).dump()
+           << '\n';
+  json_out.close();
+  if (!json_out) {
+    throw std::runtime_error("cannot write artifact '" + out.json_path + "'");
+  }
+  out.csv_path = options.artifacts_dir + "/" + spec.name + ".csv";
+  write_csv(out.csv_path, out.result);
+  if (!options.keep_checkpoint) {
+    std::filesystem::remove(out.checkpoint_path);
+  }
 }
 
 }  // namespace
@@ -63,89 +65,6 @@ util::Json artifact_json(const SweepSpec& spec, const SpecRunOptions& options,
 std::string checkpoint_path_for(const SpecRunOptions& options,
                                 const SweepSpec& spec) {
   return options.artifacts_dir + "/" + spec.name + ".checkpoint.jsonl";
-}
-
-PointCheckpoint run_checkpointed_point(const Sweep& sweep, std::size_t index,
-                                       const SpecRunOptions& options,
-                                       const std::string& fingerprint,
-                                       PointCapture capture) {
-  const SweepPoint& pt = sweep.points[index];
-  RunOptions run_options{.trials = options.trials,
-                         .seed = options.seed,
-                         .threads = options.threads};
-  if (!sweep.share_workloads_across_points) {
-    run_options.seed = gen::derive_seed(options.seed, index);
-  }
-  // Under a thread sink only this thread's increments are attributed to the
-  // point, so its trials must not fan out to pool threads.
-  if (capture == PointCapture::kThreadSink) run_options.threads = 1;
-
-  PointCheckpoint point;
-  point.index = index;
-  const obs::ScopedSpan span(kPointSite, index, fingerprint_arg(fingerprint));
-  if (capture == PointCapture::kRegistrySnapshot) {
-    obs::MetricsEnabledGuard guard(options.collect_metrics);
-    const obs::MetricsSnapshot before = obs::registry().snapshot();
-    point.result = run_point(pt.params, pt.make_schemes(), run_options, pt.x);
-    const obs::MetricsSnapshot after = obs::registry().snapshot();
-    point.counters = obs::counter_deltas(before, after);
-    // Histogram values are deterministic per-trial quantities, so their
-    // percentiles merge into the counter map as "<name>.pNN" rows and
-    // stay checkpoint-safe (unlike wall-clock timers, which are never
-    // persisted).
-    point.counters.merge(obs::histogram_percentile_deltas(before, after));
-  } else if (options.collect_metrics) {
-    // Caller keeps the registry globally enabled for the whole parallel
-    // section (obs::MetricsEnabledGuard); the sink scopes attribution.
-    const obs::ThreadMetricsSink sink;
-    point.result = run_point(pt.params, pt.make_schemes(), run_options, pt.x);
-    point.counters = obs::registry().resolve_counter_deltas(sink);
-    point.counters.merge(obs::registry().resolve_histogram_percentiles(sink));
-  } else {
-    point.result = run_point(pt.params, pt.make_schemes(), run_options, pt.x);
-  }
-  return point;
-}
-
-ResumeState load_resume_state(const std::string& path,
-                              const std::string& fingerprint, std::size_t total,
-                              bool resume) {
-  ResumeState state;
-  state.done.resize(total);
-  if (!resume) return state;
-  if (std::optional<CheckpointData> cp = load_checkpoint(path);
-      cp && cp->fingerprint == fingerprint && cp->total_points == total) {
-    for (PointCheckpoint& point : cp->points) {
-      if (point.index < total && !state.done[point.index]) {
-        state.done[point.index] = std::move(point);
-        ++state.resumed_points;
-      }
-    }
-    state.resuming = true;
-  }
-  return state;
-}
-
-void write_spec_artifacts(const SweepSpec& spec, const SpecRunOptions& options,
-                          const std::string& fingerprint,
-                          std::vector<std::optional<PointCheckpoint>>& done,
-                          SpecRunResult& out) {
-  std::vector<PointCheckpoint> points;
-  points.reserve(done.size());
-  for (std::optional<PointCheckpoint>& point : done) {
-    points.push_back(std::move(*point));
-  }
-  out.json_path = options.artifacts_dir + "/" + spec.name + ".json";
-  {
-    std::ofstream json_out(out.json_path);
-    json_out << artifact_json(spec, options, fingerprint, points).dump()
-             << '\n';
-  }
-  out.csv_path = options.artifacts_dir + "/" + spec.name + ".csv";
-  write_csv(out.csv_path, out.result);
-  if (!options.keep_checkpoint) {
-    std::filesystem::remove(out.checkpoint_path);
-  }
 }
 
 SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
@@ -161,29 +80,49 @@ SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
 
   // Recover completed points from a checkpoint that matches this exact
   // configuration; anything else is discarded.
-  ResumeState state = load_resume_state(out.checkpoint_path, out.fingerprint,
-                                        total, options.resume);
-  std::vector<std::optional<PointCheckpoint>>& done = state.done;
-  out.resumed_points = state.resumed_points;
+  std::vector<std::optional<PointCheckpoint>> done(total);
+  bool resuming = false;
+  if (std::optional<CheckpointData> cp =
+          options.resume ? load_checkpoint(out.checkpoint_path) : std::nullopt;
+      cp && cp->fingerprint == out.fingerprint && cp->total_points == total) {
+    for (PointCheckpoint& point : cp->points) {
+      if (point.index < total && !done[point.index]) {
+        done[point.index] = std::move(point);
+        ++out.resumed_points;
+      }
+    }
+    // Cut a torn tail off, so the next record starts on a line of its own.
+    std::filesystem::resize_file(out.checkpoint_path, cp->records_end);
+    resuming = true;
+  }
+
+  // The first stop_after_points missing points, in index order.
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (done[i]) continue;
+    if (options.stop_after_points != 0 &&
+        pending.size() >= options.stop_after_points) {
+      break;
+    }
+    pending.push_back(i);
+  }
 
   std::size_t completed = out.resumed_points;
   {
     CheckpointWriter writer(out.checkpoint_path, spec.name, out.fingerprint,
-                            total, state.resuming);
-    std::size_t ran = 0;
-    for (std::size_t i = 0; i < total; ++i) {
-      if (done[i]) continue;
-      if (options.stop_after_points != 0 && ran >= options.stop_after_points) {
-        break;
-      }
-      PointCheckpoint point = run_checkpointed_point(
-          sweep, i, options, out.fingerprint, PointCapture::kRegistrySnapshot);
-      writer.append(point);
-      done[i] = std::move(point);
-      ++ran;
-      ++completed;
-      if (options.progress) options.progress(completed, total);
-    }
+                            total, resuming);
+    const obs::MetricsEnabledGuard guard(options.collect_metrics);
+    run_sweep_points(sweep, pending,
+                     RunOptions{.trials = options.trials,
+                                .seed = options.seed,
+                                .threads = options.threads},
+                     options.collect_metrics, [&](PointCheckpoint point) {
+                       writer.append(point);
+                       const std::size_t index = point.index;
+                       done[index] = std::move(point);
+                       ++completed;
+                       if (options.progress) options.progress(completed, total);
+                     });
   }
 
   out.complete = completed == total;
@@ -195,7 +134,7 @@ SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
   }
 
   if (out.complete && options.write_artifacts) {
-    write_spec_artifacts(spec, options, out.fingerprint, done, out);
+    write_artifacts(spec, options, done, out);
   }
   return out;
 }

@@ -6,8 +6,8 @@
 // trial index, seed), and the checkpoint stores their exact bit patterns,
 // so a sweep interrupted at any point and resumed produces artifacts
 // byte-identical to an uninterrupted run.  Observability counter deltas are
-// captured around each point under MetricsEnabledGuard; they too are
-// deterministic (every counted event derives from deterministic trial
+// captured per point by the scheduler's per-chunk thread sinks; they too
+// are deterministic (every counted event derives from deterministic trial
 // work), so they are safe to persist.  Timers are wall-clock and never
 // enter artifacts.
 #pragma once
@@ -27,7 +27,8 @@ namespace mcs::exp {
 struct SpecRunOptions {
   std::uint64_t trials = kDefaultTrials;
   std::uint64_t seed = 1;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
+  /// Workers for the whole sweep (0 = hardware concurrency).
+  std::size_t threads = 0;
   double alpha = kDefaultAlpha;
   /// Where checkpoints and artifacts live.
   std::string artifacts_dir = "artifacts";
@@ -42,8 +43,8 @@ struct SpecRunOptions {
   std::size_t stop_after_points = 0;
   /// Write <name>.json / <name>.csv artifacts when the sweep completes.
   bool write_artifacts = true;
-  /// Enable the obs metrics registry around each point and record counter
-  /// deltas into the checkpoint/artifact.
+  /// Enable the obs metrics registry for the run and record each point's
+  /// counter deltas into the checkpoint/artifact.
   bool collect_metrics = true;
   /// Provenance string recorded in artifacts (e.g. the git commit).
   std::string source;
@@ -64,58 +65,16 @@ struct SpecRunResult {
 };
 
 /// Runs `spec` per `options`: loads a matching checkpoint, runs the missing
-/// points (appending each to the checkpoint as it completes), and on
-/// completion writes the JSON + CSV artifacts and removes the checkpoint.
+/// points on one run_points pool (appending each to the checkpoint as it
+/// completes), and on completion writes the JSON + CSV artifacts and
+/// removes the checkpoint.  Throws std::runtime_error when an artifact
+/// cannot be written; the checkpoint is then kept, so a rerun resumes.
 [[nodiscard]] SpecRunResult run_spec(const SweepSpec& spec,
                                      const SpecRunOptions& options);
-
-// -- building blocks (shared with the svc:: parallel sweep executor) -------
 
 /// The checkpoint file location run_spec uses for `spec`.
 [[nodiscard]] std::string checkpoint_path_for(const SpecRunOptions& options,
                                               const SweepSpec& spec);
-
-/// How a point's observability deltas are captured.
-enum class PointCapture {
-  /// Global registry snapshot diff around the point.  Correct only when the
-  /// point is the sole metered work in the process (the sequential
-  /// orchestrator); the point's trials may then use the full thread pool.
-  kRegistrySnapshot,
-  /// Thread-local obs::ThreadMetricsSink.  Correct when several points run
-  /// concurrently; forces the point's trials onto the calling thread so the
-  /// sink sees exactly this point's increments.
-  kThreadSink,
-};
-
-/// Runs point `index` of `sweep` end-to-end: per-point seed derivation, the
-/// exp.point trace span, metrics capture per `capture`.  A pure function of
-/// (sweep, index, options.trials/seed/alpha) — both capture modes yield
-/// bit-identical checkpoints, which is what makes `--jobs N` artifacts
-/// byte-identical to sequential ones.
-[[nodiscard]] PointCheckpoint run_checkpointed_point(
-    const Sweep& sweep, std::size_t index, const SpecRunOptions& options,
-    const std::string& fingerprint, PointCapture capture);
-
-/// Completed points recovered from a checkpoint matching (fingerprint,
-/// total); `resuming` reports whether a usable checkpoint existed (its file
-/// is then appended to rather than truncated).
-struct ResumeState {
-  std::vector<std::optional<PointCheckpoint>> done;
-  std::size_t resumed_points = 0;
-  bool resuming = false;
-};
-
-[[nodiscard]] ResumeState load_resume_state(const std::string& path,
-                                            const std::string& fingerprint,
-                                            std::size_t total, bool resume);
-
-/// Writes <name>.json/<name>.csv for a completed run (and removes the
-/// checkpoint unless options.keep_checkpoint), filling out.json_path /
-/// out.csv_path.  `done` must hold every point.
-void write_spec_artifacts(const SweepSpec& spec, const SpecRunOptions& options,
-                          const std::string& fingerprint,
-                          std::vector<std::optional<PointCheckpoint>>& done,
-                          SpecRunResult& out);
 
 /// A loaded "mcs-exp-artifact/1" file: provenance plus the exact per-point
 /// aggregates and counter deltas.

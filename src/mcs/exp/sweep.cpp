@@ -1,27 +1,48 @@
 #include "mcs/exp/sweep.hpp"
 
+#include <numeric>
+
 namespace mcs::exp {
+
+void run_sweep_points(const Sweep& sweep, std::span<const std::size_t> indices,
+                      const RunOptions& options, bool capture_metrics,
+                      const std::function<void(PointCheckpoint)>& on_point) {
+  std::vector<partition::PartitionerList> lineups;
+  lineups.reserve(indices.size());  // PointWork points into it
+  std::vector<PointWork> work;
+  work.reserve(indices.size());
+  for (const std::size_t i : indices) {
+    const SweepPoint& pt = sweep.points[i];
+    lineups.push_back(pt.make_schemes
+                          ? pt.make_schemes()
+                          : partition::paper_schemes(kDefaultAlpha));
+    work.push_back(PointWork{.index = i,
+                             .x = pt.x,
+                             .params = &pt.params,
+                             .schemes = &lineups.back(),
+                             .seed = sweep.share_workloads_across_points
+                                         ? options.seed
+                                         : gen::derive_seed(options.seed, i)});
+  }
+  run_points(work, options.trials, options.threads, capture_metrics,
+             on_point);
+}
 
 SweepResult run_sweep(
     const Sweep& sweep, const RunOptions& options,
     const std::function<void(std::size_t, std::size_t)>& progress) {
+  const std::size_t total = sweep.points.size();
+  std::vector<std::size_t> indices(total);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
   SweepResult result;
   result.sweep = sweep;
-  result.points.reserve(sweep.points.size());
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const SweepPoint& pt = sweep.points[i];
-    const partition::PartitionerList schemes =
-        pt.make_schemes ? pt.make_schemes()
-                        : partition::paper_schemes(kDefaultAlpha);
-    // Offset the seed per point so points draw independent workloads
-    // (unless the sweep wants common random numbers across points).
-    RunOptions point_options = options;
-    if (!sweep.share_workloads_across_points) {
-      point_options.seed = gen::derive_seed(options.seed, i);
-    }
-    result.points.push_back(run_point(pt.params, schemes, point_options, pt.x));
-    if (progress) progress(i + 1, sweep.points.size());
-  }
+  result.points.resize(total);
+  std::size_t completed = 0;
+  run_sweep_points(sweep, indices, options, false, [&](PointCheckpoint point) {
+    result.points[point.index] = std::move(point.result);
+    ++completed;
+    if (progress) progress(completed, total);
+  });
   return result;
 }
 

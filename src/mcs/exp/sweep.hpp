@@ -37,11 +37,20 @@ struct SweepResult {
   std::vector<PointResult> points;
 };
 
-/// Runs every point of the sweep.  `progress`, when non-null, is invoked
-/// after each point with (index, total).
+/// Runs every point of the sweep on one run_points pool of
+/// options.threads workers.  `progress`, when non-null, is invoked after
+/// each completed point with (points done, total).
 [[nodiscard]] SweepResult run_sweep(
     const Sweep& sweep, const RunOptions& options,
     const std::function<void(std::size_t, std::size_t)>& progress = {});
+
+/// Runs points `indices` of `sweep` through run_points.  Each point gets
+/// its schemes from make_schemes (the paper line-up with the default alpha
+/// when empty) and the seed derive_seed(options.seed, index), or
+/// options.seed itself when the sweep shares workloads across points.
+void run_sweep_points(const Sweep& sweep, std::span<const std::size_t> indices,
+                      const RunOptions& options, bool capture_metrics,
+                      const std::function<void(PointCheckpoint)>& on_point);
 
 /// Builders for the paper's five figures.  `base` supplies the non-swept
 /// parameters; alpha parameterizes CA-TPA except in fig3 where it is the

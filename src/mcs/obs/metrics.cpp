@@ -146,37 +146,22 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-std::map<std::string, std::uint64_t> Registry::resolve_counter_deltas(
-    const ThreadMetricsSink& sink) const {
+std::map<std::string, std::uint64_t> Registry::resolve(
+    const MetricsCapture& capture) const {
   const std::lock_guard lock(mutex_);
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [pointer, delta] : sink.counters()) {
-    if (delta == 0) continue;
-    for (const auto& [name, counter] : counters_) {
-      if (counter.get() == pointer) {
-        out.emplace(name, delta);
-        break;
-      }
+  for (const auto& [name, counter] : counters_) {
+    for (const auto& [key, delta] : capture.counters) {
+      if (key == counter.get() && delta != 0) out.emplace(name, delta);
     }
   }
-  return out;
-}
-
-std::map<std::string, std::uint64_t> Registry::resolve_histogram_percentiles(
-    const ThreadMetricsSink& sink) const {
-  const std::lock_guard lock(mutex_);
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [pointer, buckets] : sink.histograms()) {
-    std::uint64_t grew = 0;
-    for (const std::uint64_t b : buckets) grew += b;
-    if (grew == 0) continue;
-    for (const auto& [name, hist] : histograms_) {
-      if (hist.get() == pointer) {
-        out.emplace(name + ".p50", percentile_from_buckets(buckets, 0.50));
-        out.emplace(name + ".p90", percentile_from_buckets(buckets, 0.90));
-        out.emplace(name + ".p99", percentile_from_buckets(buckets, 0.99));
-        break;
-      }
+  // A capture holds a histogram only once it recorded a value.
+  for (const auto& [name, hist] : histograms_) {
+    for (const auto& [key, buckets] : capture.histograms) {
+      if (key != hist.get()) continue;
+      out.emplace(name + ".p50", percentile_from_buckets(buckets, 0.50));
+      out.emplace(name + ".p90", percentile_from_buckets(buckets, 0.90));
+      out.emplace(name + ".p99", percentile_from_buckets(buckets, 0.99));
     }
   }
   return out;

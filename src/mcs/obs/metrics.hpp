@@ -32,83 +32,78 @@ namespace detail {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-/// Bucket count shared by Histogram and the thread sink (defined before
-/// both so the sink can size its capture arrays).
+/// Bucket count shared by Histogram and MetricsCapture (defined before
+/// both so the capture can size its bucket arrays).
 inline constexpr std::size_t kHistogramBuckets = 65;
+using BucketCounts = std::array<std::uint64_t, kHistogramBuckets>;
 
-/// Thread-local capture of the metered events recorded *on this thread*
-/// while the sink is installed.  The global instruments still update (a
-/// sink observes, it does not redirect), so snapshots taken elsewhere stay
-/// correct; what the sink adds is attribution: when several experiment
-/// points run concurrently on different threads, each worker's sink sees
-/// exactly its own point's increments — the per-point counter deltas the
-/// sequential orchestrator derives from global snapshots, recovered without
-/// serializing the points.  Keys are instrument addresses (stable for the
-/// process lifetime); Registry::resolve_* turns them back into names.
+/// The metered events a ThreadMetricsSink saw, keyed by instrument address
+/// (stable for the process lifetime; Registry::resolve turns the keys back
+/// into names).  Plain data: the captures of disjoint work add up with +=,
+/// so a sweep point run as several chunks sums its chunks' captures.
+///
+/// Linear-scan vectors: a sweep point touches ~a dozen distinct
+/// instruments, and the same counter is hit repeatedly (the scan usually
+/// terminates on its first probe), so this beats a map on the hot path.
+struct MetricsCapture {
+  std::vector<std::pair<const void*, std::uint64_t>> counters;
+  std::vector<std::pair<const void*, BucketCounts>> histograms;
+
+  void add_counter(const void* counter, std::uint64_t n) {
+    for (auto& [key, value] : counters) {
+      if (key == counter) {
+        value += n;
+        return;
+      }
+    }
+    counters.emplace_back(counter, n);
+  }
+
+  /// The bucket counts of `histogram`, zero-initialized on first use.
+  BucketCounts& buckets(const void* histogram) {
+    for (auto& [key, counts] : histograms) {
+      if (key == histogram) return counts;
+    }
+    return histograms.emplace_back(histogram, BucketCounts{}).second;
+  }
+
+  MetricsCapture& operator+=(const MetricsCapture& other) {
+    for (const auto& [key, n] : other.counters) add_counter(key, n);
+    for (const auto& [key, counts] : other.histograms) {
+      BucketCounts& mine = buckets(key);
+      for (std::size_t b = 0; b < kHistogramBuckets; ++b) mine[b] += counts[b];
+    }
+    return *this;
+  }
+};
+
+namespace detail {
+inline thread_local MetricsCapture* t_capture = nullptr;
+}  // namespace detail
+
+/// Installs `capture` as this thread's sink: until the sink is destroyed,
+/// every metered event recorded *on this thread* is also added to it.  The
+/// global instruments still update (a sink observes, it does not
+/// redirect), so snapshots taken elsewhere stay correct; what the sink adds
+/// is attribution: when several sweep chunks run concurrently on different
+/// threads, each chunk's capture holds exactly its own increments.
 ///
 /// Install/uninstall is RAII and nestable (the innermost sink captures).
 /// Hot-path cost when no sink is installed: one thread-local load and a
 /// predicted branch, paid only on the already-metered (enabled) path.
 class ThreadMetricsSink {
  public:
-  ThreadMetricsSink() noexcept;
-  ~ThreadMetricsSink();
+  explicit ThreadMetricsSink(MetricsCapture& capture) noexcept
+      : previous_(detail::t_capture) {
+    detail::t_capture = &capture;
+  }
+  ~ThreadMetricsSink() { detail::t_capture = previous_; }
   ThreadMetricsSink(const ThreadMetricsSink&) = delete;
   ThreadMetricsSink& operator=(const ThreadMetricsSink&) = delete;
 
-  void on_counter(const void* counter, std::uint64_t n) {
-    for (auto& [key, value] : counters_) {
-      if (key == counter) {
-        value += n;
-        return;
-      }
-    }
-    counters_.emplace_back(counter, n);
-  }
-
-  void on_histogram(const void* histogram, std::uint64_t value) {
-    const auto bucket = static_cast<std::size_t>(std::bit_width(value));
-    for (auto& [key, buckets] : histograms_) {
-      if (key == histogram) {
-        ++buckets[bucket];
-        return;
-      }
-    }
-    histograms_.emplace_back(histogram,
-                             std::array<std::uint64_t, kHistogramBuckets>{});
-    ++histograms_.back().second[bucket];
-  }
-
-  [[nodiscard]] const std::vector<std::pair<const void*, std::uint64_t>>&
-  counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::vector<
-      std::pair<const void*, std::array<std::uint64_t, kHistogramBuckets>>>&
-  histograms() const noexcept {
-    return histograms_;
-  }
-
  private:
-  ThreadMetricsSink* previous_;
-  /// Linear-scan vectors: a sweep point touches ~a dozen distinct
-  /// instruments, and the same counter is hit repeatedly (the scan usually
-  /// terminates on its first probe), so this beats a map on the hot path.
-  std::vector<std::pair<const void*, std::uint64_t>> counters_;
-  std::vector<std::pair<const void*, std::array<std::uint64_t, kHistogramBuckets>>>
-      histograms_;
+  MetricsCapture* previous_;
 };
-
-namespace detail {
-inline thread_local ThreadMetricsSink* t_sink = nullptr;
-}  // namespace detail
-
-inline ThreadMetricsSink::ThreadMetricsSink() noexcept
-    : previous_(detail::t_sink) {
-  detail::t_sink = this;
-}
-
-inline ThreadMetricsSink::~ThreadMetricsSink() { detail::t_sink = previous_; }
 
 /// Whether instruments record anything.  Relaxed: hot paths tolerate a
 /// slightly stale view around the enable/disable edge.
@@ -141,7 +136,9 @@ class Counter {
   void add(std::uint64_t n = 1) noexcept {
     if (!metrics_enabled()) return;
     value_.fetch_add(n, std::memory_order_relaxed);
-    if (ThreadMetricsSink* sink = detail::t_sink) sink->on_counter(this, n);
+    if (MetricsCapture* capture = detail::t_capture) {
+      capture->add_counter(this, n);
+    }
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -215,8 +212,8 @@ class Histogram {
     buckets_[static_cast<std::size_t>(std::bit_width(value))].fetch_add(
         1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-    if (ThreadMetricsSink* sink = detail::t_sink) {
-      sink->on_histogram(this, value);
+    if (MetricsCapture* capture = detail::t_capture) {
+      ++capture->buckets(this)[static_cast<std::size_t>(std::bit_width(value))];
     }
     // Running maximum via CAS: a failed exchange reloads `seen`, so the
     // loop terminates as soon as another thread published a larger value.
@@ -312,18 +309,15 @@ class Registry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Resolves a thread sink's pointer-keyed counter captures into the
-  /// name-keyed delta map that counter_deltas(before, after) would produce
-  /// had the sink's thread been the only metered work between the
-  /// snapshots.  Sink entries for counters unknown to this registry are
-  /// dropped (cannot happen for instruments obtained via counter()).
-  [[nodiscard]] std::map<std::string, std::uint64_t> resolve_counter_deltas(
-      const ThreadMetricsSink& sink) const;
-
-  /// Same resolution for histograms, flattened to "<name>.p50/.p90/.p99"
-  /// pseudo-counters exactly like histogram_percentile_deltas.
-  [[nodiscard]] std::map<std::string, std::uint64_t>
-  resolve_histogram_percentiles(const ThreadMetricsSink& sink) const;
+  /// Names a capture's events: each counter's increment, plus
+  /// "<name>.p50/.p90/.p99" pseudo-counters for each histogram that
+  /// recorded a value.  Had the captured work been the only metered work
+  /// between two snapshots, this equals counter_deltas merged with
+  /// histogram_percentile_deltas of those snapshots.  Entries for
+  /// instruments unknown to this registry are dropped (cannot happen for
+  /// instruments obtained via counter()/histogram()).
+  [[nodiscard]] std::map<std::string, std::uint64_t> resolve(
+      const MetricsCapture& capture) const;
 
   /// Zeroes every instrument (names stay registered).
   void reset();

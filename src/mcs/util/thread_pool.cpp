@@ -13,6 +13,13 @@ std::size_t default_thread_count() noexcept {
   return hw == 0 ? 1 : hw;
 }
 
+std::size_t resolve_thread_count(std::uint64_t requested) noexcept {
+  const std::size_t hardware = default_thread_count();
+  return requested == 0 || requested > hardware
+             ? hardware
+             : static_cast<std::size_t>(requested);
+}
+
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                   std::size_t threads) {
   if (n == 0) return;

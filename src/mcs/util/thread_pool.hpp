@@ -7,12 +7,19 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace mcs::util {
 
 /// Number of workers to use by default (hardware concurrency, at least 1).
 [[nodiscard]] std::size_t default_thread_count() noexcept;
+
+/// The worker count a CLI's --threads value asks for: 0 (the flag's absent
+/// default) selects default_thread_count(), and larger requests are clamped
+/// to it (oversubscribing CPU-bound workers only adds scheduling noise).
+[[nodiscard]] std::size_t resolve_thread_count(
+    std::uint64_t requested) noexcept;
 
 /// Runs fn(i) for every i in [0, n), distributing indices over `threads`
 /// workers (the calling thread participates).  threads == 0 selects the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <stdexcept>
+#include <vector>
+
 namespace mcs::exp {
 namespace {
 
@@ -49,9 +54,9 @@ TEST(MonteCarloTest, DeterministicAcrossThreadCounts) {
       small_params(), schemes, RunOptions{.trials = 200, .seed = 9, .threads = 3},
       0.0);
   // Bit-exact, not merely close: per-chunk Welford partials are merged in
-  // chunk-index order after the join, so the thread count cannot perturb a
-  // single bit.  The parallel sweep executor (svc::) and the --jobs N
-  // artifact byte-identity guarantee are built on this.
+  // chunk-index order once the point's last chunk finishes, so the thread
+  // count cannot perturb a single bit.  The --threads N artifact
+  // byte-identity guarantee of run_sweep and run_spec is built on this.
   for (std::size_t s = 0; s < a.schemes.size(); ++s) {
     EXPECT_EQ(a.schemes[s].schedulable, b.schemes[s].schedulable);
     EXPECT_EQ(a.schemes[s].trials, b.schemes[s].trials);
@@ -62,6 +67,93 @@ TEST(MonteCarloTest, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(a.schemes[s].imbalance.m2(), b.schemes[s].imbalance.m2());
     EXPECT_EQ(a.schemes[s].probes.mean(), b.schemes[s].probes.mean());
   }
+}
+
+/// Every aggregate field, compared bit for bit.
+void expect_same_bits(const PointResult& a, const PointResult& b) {
+  EXPECT_EQ(a.x, b.x);
+  ASSERT_EQ(a.schemes.size(), b.schemes.size());
+  for (std::size_t s = 0; s < a.schemes.size(); ++s) {
+    const SchemeAggregate& x = a.schemes[s];
+    const SchemeAggregate& y = b.schemes[s];
+    EXPECT_EQ(x.scheme, y.scheme);
+    EXPECT_EQ(x.trials, y.trials);
+    EXPECT_EQ(x.schedulable, y.schedulable);
+    for (const auto member : {&SchemeAggregate::u_sys, &SchemeAggregate::u_avg,
+                              &SchemeAggregate::imbalance,
+                              &SchemeAggregate::probes}) {
+      EXPECT_EQ((x.*member).count(), (y.*member).count()) << x.scheme;
+      EXPECT_EQ((x.*member).mean(), (y.*member).mean()) << x.scheme;
+      EXPECT_EQ((x.*member).m2(), (y.*member).m2()) << x.scheme;
+      EXPECT_EQ((x.*member).raw_min(), (y.*member).raw_min()) << x.scheme;
+      EXPECT_EQ((x.*member).raw_max(), (y.*member).raw_max()) << x.scheme;
+    }
+  }
+}
+
+TEST(MonteCarloTest, PartialLastChunkAndMoreWorkersThanChunks) {
+  // 100 trials are one full 64-trial chunk plus a partial one; 8 workers
+  // outnumber the 2 chunks.
+  const auto schemes = partition::paper_schemes();
+  const PointResult one = run_point(
+      small_params(), schemes,
+      RunOptions{.trials = 100, .seed = 5, .threads = 1}, 0.6);
+  const PointResult eight = run_point(
+      small_params(), schemes,
+      RunOptions{.trials = 100, .seed = 5, .threads = 8}, 0.6);
+  for (const SchemeAggregate& agg : one.schemes) {
+    EXPECT_EQ(agg.trials, 100u);
+    EXPECT_EQ(agg.probes.count(), 100u);
+  }
+  expect_same_bits(one, eight);
+}
+
+TEST(RunPointsTest, HandsBackEveryPointOnceAsRunPointComputesIt) {
+  const auto schemes = partition::paper_schemes();
+  gen::GenParams light = small_params();
+  light.nsu = 0.4;
+  gen::GenParams heavy = small_params();
+  heavy.nsu = 0.8;
+  const std::vector<PointWork> work = {
+      {.index = 7, .x = 0.4, .params = &light, .schemes = &schemes, .seed = 1},
+      {.index = 2, .x = 0.8, .params = &heavy, .schemes = &schemes, .seed = 2},
+      {.index = 5, .x = 0.4, .params = &light, .schemes = &schemes, .seed = 3}};
+  std::map<std::size_t, PointResult> seen;
+  std::atomic<int> inside{0};
+  run_points(work, 130, 4, false, [&](PointCheckpoint point) {
+    EXPECT_EQ(inside.fetch_add(1), 0) << "on_point calls overlapped";
+    EXPECT_TRUE(point.counters.empty());
+    EXPECT_TRUE(seen.emplace(point.index, std::move(point.result)).second)
+        << "point " << point.index << " handed back twice";
+    inside.fetch_sub(1);
+  });
+  ASSERT_EQ(seen.size(), work.size());
+  for (const PointWork& w : work) {
+    const PointResult alone = run_point(
+        *w.params, schemes,
+        RunOptions{.trials = 130, .seed = w.seed, .threads = 1}, w.x);
+    expect_same_bits(seen.at(w.index), alone);
+  }
+}
+
+TEST(RunPointsTest, RethrowsACallbackFailureAfterDraining) {
+  const auto schemes = partition::paper_schemes();
+  const gen::GenParams params = small_params();
+  std::vector<PointWork> work;
+  for (std::size_t i = 0; i < 4; ++i) {
+    work.push_back({.index = i, .x = 0.0, .params = &params,
+                    .schemes = &schemes, .seed = i});
+  }
+  std::size_t delivered = 0;
+  EXPECT_THROW(run_points(work, 10, 4, false,
+                          [&](const PointCheckpoint& point) {
+                            ++delivered;
+                            if (point.index == 1) {
+                              throw std::runtime_error("append failed");
+                            }
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(delivered, work.size());
 }
 
 TEST(MonteCarloTest, DifferentSeedsGiveDifferentWorkloads) {

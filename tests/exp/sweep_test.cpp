@@ -79,6 +79,37 @@ TEST(SweepRunTest, RunsEveryPointAndReportsProgress) {
   }
 }
 
+TEST(SweepRunTest, WorkerCountDoesNotChangeAnyBit) {
+  gen::GenParams params = default_gen_params();
+  params.num_tasks = 20;
+  params.num_cores = 2;
+  const Sweep s = make_fig1_nsu(params, 0.7);
+  // 70 trials: two chunks per point, the second partial.
+  const SweepResult one =
+      run_sweep(s, RunOptions{.trials = 70, .seed = 3, .threads = 1});
+  const SweepResult four =
+      run_sweep(s, RunOptions{.trials = 70, .seed = 3, .threads = 4});
+  ASSERT_EQ(one.points.size(), s.points.size());
+  ASSERT_EQ(four.points.size(), s.points.size());
+  for (std::size_t p = 0; p < one.points.size(); ++p) {
+    const PointResult& a = one.points[p];
+    const PointResult& b = four.points[p];
+    EXPECT_EQ(a.x, b.x);
+    ASSERT_EQ(a.schemes.size(), b.schemes.size());
+    for (std::size_t i = 0; i < a.schemes.size(); ++i) {
+      EXPECT_EQ(a.schemes[i].trials, 70u);
+      EXPECT_EQ(a.schemes[i].schedulable, b.schemes[i].schedulable);
+      EXPECT_EQ(a.schemes[i].u_sys.mean(), b.schemes[i].u_sys.mean());
+      EXPECT_EQ(a.schemes[i].u_sys.m2(), b.schemes[i].u_sys.m2());
+      EXPECT_EQ(a.schemes[i].u_avg.mean(), b.schemes[i].u_avg.mean());
+      EXPECT_EQ(a.schemes[i].imbalance.mean(), b.schemes[i].imbalance.mean());
+      EXPECT_EQ(a.schemes[i].imbalance.m2(), b.schemes[i].imbalance.m2());
+      EXPECT_EQ(a.schemes[i].probes.mean(), b.schemes[i].probes.mean());
+      EXPECT_EQ(a.schemes[i].probes.m2(), b.schemes[i].probes.m2());
+    }
+  }
+}
+
 TEST(SweepRunTest, PointsUseIndependentSeeds) {
   // Two points with identical parameters must still see different workloads;
   // the mean U_sys over schedulable sets is continuous, so identical values

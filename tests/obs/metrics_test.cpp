@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mcs/exp/montecarlo.hpp"
@@ -222,6 +224,61 @@ TEST(RegistryTest, HistogramPercentileDeltasIgnoreHistory) {
   // A histogram that did not grow contributes nothing.
   const auto idle = histogram_percentile_deltas(after, after);
   EXPECT_EQ(idle.count("test.registry.hpd.p50"), 0u);
+}
+
+TEST(ThreadMetricsSinkTest, EachCaptureSeesOnlyItsOwnThread) {
+  MetricsEnabledGuard guard(true);
+  Counter& counter = registry().counter("test.sink.shared");
+  Histogram& histogram = registry().histogram("test.sink.hist");
+  const MetricsSnapshot before = registry().snapshot();
+  MetricsCapture first;
+  MetricsCapture second;
+  {
+    const std::jthread a([&] {
+      const ThreadMetricsSink sink(first);
+      for (int i = 0; i < 1000; ++i) counter.add(3);
+      histogram.record(5);
+    });
+    const std::jthread b([&] {
+      const ThreadMetricsSink sink(second);
+      for (int i = 0; i < 1000; ++i) counter.add(7);
+      histogram.record(900);
+    });
+  }
+  const MetricsSnapshot after = registry().snapshot();
+
+  EXPECT_EQ(registry().resolve(first).at("test.sink.shared"), 3000u);
+  EXPECT_EQ(registry().resolve(second).at("test.sink.shared"), 7000u);
+  EXPECT_EQ(registry().resolve(first).at("test.sink.hist.p99"), 7u);
+  EXPECT_EQ(registry().resolve(second).at("test.sink.hist.p99"), 1023u);
+
+  // Summed, the two captures name exactly what snapshots taken around both
+  // threads show.
+  MetricsCapture both = first;
+  both += second;
+  std::map<std::string, std::uint64_t> expected = counter_deltas(before, after);
+  expected.merge(histogram_percentile_deltas(before, after));
+  EXPECT_EQ(registry().resolve(both), expected);
+  EXPECT_EQ(expected.at("test.sink.shared"), 10000u);
+}
+
+TEST(ThreadMetricsSinkTest, InnermostSinkCapturesAndOuterResumes) {
+  MetricsEnabledGuard guard(true);
+  Counter& counter = registry().counter("test.sink.nested");
+  MetricsCapture outer;
+  MetricsCapture inner;
+  {
+    const ThreadMetricsSink outer_sink(outer);
+    counter.add(1);
+    {
+      const ThreadMetricsSink inner_sink(inner);
+      counter.add(10);
+    }
+    counter.add(100);
+  }
+  counter.add(1000);  // no sink installed: captured nowhere
+  EXPECT_EQ(registry().resolve(outer).at("test.sink.nested"), 101u);
+  EXPECT_EQ(registry().resolve(inner).at("test.sink.nested"), 10u);
 }
 
 TEST(RegistryTest, SnapshotOrderIsLexicographic) {

@@ -100,9 +100,9 @@ TEST(WelfordTest, RestoreRoundTripsStateExactly) {
   EXPECT_EQ(restored.m2(), original.m2());
 }
 
-// -- merge exactness properties the parallel sweep executor builds on ------
+// -- merge exactness properties the sweep scheduler builds on --------------
 //
-// The chunk-order merge in exp::run_point (and therefore the --jobs N
+// The chunk-order merge in exp::run_points (and therefore the --threads N
 // artifact byte-identity) requires exactly two things of Welford::merge:
 // it is a pure deterministic function of its operands, and merging with an
 // empty accumulator is a bitwise identity.  Floating-point merge is NOT
@@ -157,7 +157,7 @@ TEST(WelfordMergeTest, MergeWithEmptyIsBitwiseIdentity) {
 }
 
 TEST(WelfordMergeTest, ChunkOrderFoldIsReproducibleAnySchedule) {
-  // The executor's exact scenario: chunks are computed by different
+  // The scheduler's exact scenario: chunks are computed by different
   // threads in arbitrary completion order, but folded in chunk-index
   // order.  Whatever order the chunks were *computed* in, the fold result
   // is bit-identical — the fold is a pure function of the ordered chunk

@@ -38,6 +38,25 @@ TEST(ParallelForTest, DefaultThreadCountIsPositive) {
   EXPECT_GE(default_thread_count(), 1u);
 }
 
+// resolve_thread_count decides how many workers a sweep's jobs run on.  It
+// only reads the hardware concurrency and starts no thread, so these run the
+// same on any machine.
+TEST(ResolveJobsTest, ZeroMeansHardwareConcurrency) {
+  EXPECT_EQ(resolve_thread_count(0), default_thread_count());
+}
+
+TEST(ResolveJobsTest, PassesThroughSmallCounts) {
+  EXPECT_EQ(resolve_thread_count(1), 1u);
+  EXPECT_EQ(resolve_thread_count(default_thread_count()),
+            default_thread_count());
+}
+
+TEST(ResolveJobsTest, ClampsToHardwareConcurrency) {
+  const std::size_t hardware = default_thread_count();
+  EXPECT_EQ(resolve_thread_count(std::uint64_t{1} << 20), hardware);
+  EXPECT_EQ(resolve_thread_count(hardware + 1), hardware);
+}
+
 TEST(ParallelForTest, PropagatesExceptions) {
   EXPECT_THROW(
       parallel_for(

@@ -88,10 +88,10 @@ int main(int argc, char** argv) {
        {"list", "list the builtin specs and exit"},
        {"trials", "task sets per data point (default 2000)"},
        {"seed", "base RNG seed (default 1)"},
-       {"threads", "worker threads per point (default: hardware concurrency)"},
-       {"jobs",
-        "run N sweep points concurrently (default 1; clamped to hardware "
-        "concurrency; artifacts are byte-identical for any N)"},
+       {"threads",
+        "worker threads for the whole sweep (default and 0: hardware "
+        "concurrency, which also caps it; artifacts are byte-identical for "
+        "any count)"},
        {"alpha", "CA-TPA imbalance threshold (default 0.7)"},
        {"full", "paper fidelity: 50000 task sets per point"},
        {"out", "artifacts directory (default: artifacts)"},
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
                                    : cli.get_or("trials", exp::kDefaultTrials);
   options.seed = cli.get_or("seed", std::uint64_t{1});
   options.threads =
-      static_cast<std::size_t>(cli.get_or("threads", std::uint64_t{0}));
+      util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
   options.alpha = cli.get_or("alpha", exp::kDefaultAlpha);
   options.artifacts_dir = cli.get_or("out", std::string("artifacts"));
   options.resume = !cli.has("no-resume");
@@ -127,14 +127,6 @@ int main(int argc, char** argv) {
   options.stop_after_points =
       static_cast<std::size_t>(cli.get_or("stop-after", std::uint64_t{0}));
   options.source = cli.get_or("commit", std::string());
-
-  std::size_t jobs = 1;
-  try {
-    jobs = svc::resolve_jobs(cli.get_or("jobs", std::uint64_t{1}));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mcs_exp: " << e.what() << '\n';
-    return 1;
-  }
 
   const std::vector<std::string> names =
       parse_spec_list(cli.get_or("figure", std::string("all")));
@@ -166,9 +158,13 @@ int main(int argc, char** argv) {
       std::cerr << "[" << spec->name << "] point " << done << "/" << total
                 << " done\n";
     };
-    const exp::SpecRunResult run =
-        jobs > 1 ? svc::run_spec_parallel(*spec, run_options, jobs)
-                 : run_spec(*spec, run_options);
+    exp::SpecRunResult run;
+    try {
+      run = run_spec(*spec, run_options);
+    } catch (const std::exception& e) {
+      std::cerr << "mcs_exp: " << e.what() << '\n';
+      return 1;
+    }
 
     if (run.resumed_points > 0) {
       std::cerr << "[" << spec->name << "] resumed " << run.resumed_points

@@ -6,7 +6,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -62,4 +64,11 @@ int main(int argc, char** argv) {
     write_csv(*csv, result);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("bench_dual_tests",
+                             [&] { return run(argc, argv); });
 }

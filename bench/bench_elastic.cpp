@@ -58,9 +58,7 @@ double lo_max_starvation(const sim::RecordingTraceSink& trace,
   return overall;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(
       argc, argv,
       {{"trials", "Eq.(4)-passing task sets per point (default 100)"},
@@ -144,4 +142,10 @@ int main(int argc, char** argv) {
                " consecutive completions of a LO task, in periods: lower is\n"
                " better; 'misses' must stay 0)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("bench_elastic", [&] { return run(argc, argv); });
 }

@@ -7,7 +7,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -59,4 +61,11 @@ int main(int argc, char** argv) {
     write_csv(*csv, result);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("bench_fp_vs_edfvd",
+                             [&] { return run(argc, argv); });
 }

@@ -16,7 +16,9 @@
 #include "mcs/mcs.hpp"
 #include "mcs/sim/global_engine.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -97,4 +99,10 @@ int main(int argc, char** argv) {
                "column must be 0;\n global survival is only an observation "
                "over three scenarios per set)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("bench_global", [&] { return run(argc, argv); });
 }

@@ -8,7 +8,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -90,4 +92,11 @@ int main(int argc, char** argv) {
   std::cout << "\n(zero misses across all escalation levels validates the "
                "analysis-runtime contract)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("bench_runtime_overruns",
+                             [&] { return run(argc, argv); });
 }

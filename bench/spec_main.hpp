@@ -6,6 +6,7 @@
 // artifact output; the benches stay as zero-setup console views.
 #pragma once
 
+#include <filesystem>
 #include <iostream>
 #include <string>
 
@@ -16,8 +17,8 @@ namespace mcs::bench {
 /// Runs the named builtin spec.  `figure_style` selects the figure-bench
 /// interface (--full paper-fidelity flag, cross-sweep summary) over the
 /// plain ablation one.
-inline int spec_main(int argc, char** argv, const std::string& spec_name,
-                     bool figure_style = true) {
+inline int run_spec_bench(int argc, char** argv, const std::string& spec_name,
+                          bool figure_style) {
   const exp::SweepSpec* spec = exp::find_spec(spec_name);
   if (spec == nullptr) {
     std::cerr << "unknown spec '" << spec_name << "' (expected one of "
@@ -66,6 +67,17 @@ inline int spec_main(int argc, char** argv, const std::string& spec_name,
     std::cout << "CSV written to " << *csv << '\n';
   }
   return 0;
+}
+
+/// run_spec_bench behind util::run_main, named after the binary.
+inline int spec_main(int argc, char** argv, const std::string& spec_name,
+                     bool figure_style = true) {
+  const std::string program =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string()
+               : spec_name;
+  return util::run_main(program, [&] {
+    return run_spec_bench(argc, argv, spec_name, figure_style);
+  });
 }
 
 }  // namespace mcs::bench

@@ -25,9 +25,7 @@ std::optional<std::size_t> min_cores(const partition::Partitioner& scheme,
   return std::nullopt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(
       argc, argv,
       {{"in", "task-set file (default: generate one)"},
@@ -83,4 +81,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("min_cores", [&] { return run(argc, argv); });
 }

@@ -10,7 +10,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(argc, argv,
                       {{"horizon", "simulation end time (default 120)"},
@@ -87,4 +89,10 @@ int main(int argc, char** argv) {
             << " releases suppressed, "
             << run.total(&sim::CoreStats::idle_resets) << " idle resets\n";
   return run.missed_deadline() ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("runtime_trace", [&] { return run(argc, argv); });
 }

@@ -8,7 +8,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -89,4 +91,10 @@ int main(int argc, char** argv) {
     std::cout << "\nCSV written to " << *csv << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("sweep_cli", [&] { return run(argc, argv); });
 }

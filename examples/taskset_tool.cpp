@@ -109,9 +109,7 @@ int do_partition(const util::Cli& cli, bool simulate_after) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(
       argc, argv,
       {{"mode", "gen | analyze | partition | simulate"},
@@ -142,4 +140,10 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("taskset_tool", [&] { return run(argc, argv); });
 }

@@ -34,6 +34,63 @@
 // passing HI scans (29,087 against 9,757) and took 8.0 ms per trial against
 // 5.7.  tests/analysis/demand_parity_test.cpp pins the order bit for bit
 // against a copy that scans LO before HI.
+//
+// Running-sum scan.  first_violation visits the distinct breakpoints in
+// ascending order and returns the first t whose exact sum -- curve_demand
+// summed over the curves in their order -- exceeds t + 1e-9.  Re-summing
+// every curve at every t cost ~85% of the gates' time, so the scan carries
+// the demand instead.  A firing step lane adds its cost to `steps`; under
+// kCredited an open credit ramp adds credit + start to `ramp_sum` and one
+// to `ramps` until its kink lane fires, so the estimate at t is
+// E = steps - (ramp_sum - ramps*t) (kStep: E = steps).  Every lane at t
+// fires before t is judged.  E decides t only where it cannot disagree
+// with the exact sum; elsewhere the exact sum decides, in the same order
+// as before, so the returned t is the exact sum's, bit for bit.
+//
+// Guards.  E is used only if every curve has finite fields, cost > 0,
+// period > 0, d0 >= 0 and, under kCredited, 0 <= credit < period; and only
+// while each curve's ramp opens and closes in turn (a kink with no open
+// ramp, or a step while its ramp is open, ends it) and while every step
+// lane's job count matched the floor formula of curve_demand,
+// floor((t - d0)/period + 1e-9) + 1, when it fired.  A failed guard makes
+// every t from then on take the exact sum.  Under the guards all times lie
+// in [0, span], span = bound + 1e-9 + the longest period, and a lane fires
+// at most K = (bound + 1e-9)/(shortest period) + 2 times, so with
+// u = 2^-53 each accumulated lane value is within drift = K*u*span of its
+// exact d0 + k*period (or d0 + credit + k*period).
+//
+// Window.  E decides t only if the previous distinct breakpoint lies
+// below t - W and every pending lane value -- the heap top and the least
+// value dropped past the bound -- lies above t + W, with
+// W = 2*(1e-9*max(1, longest period) + drift + 4*u*span).  Then, curve by
+// curve:
+//   - the formula's job count at t is the lane's count.  It is at least
+//     the count, because it matched at the last firing and every rounded
+//     step of it is monotone in t.  It is no more, because the lane's next
+//     value lies beyond t + W, and W exceeds the 1e-9*period tolerance plus
+//     drift plus the formula's rounding.  A curve that has not fired has
+//     d0 beyond t + W and gives 0 on the `t < d0 - 1e-9` test;
+//   - a ramp E counts as open has its kink beyond t + W, so the formula's
+//     credit - r is positive; a ramp E counts as closed kinked below t - W,
+//     where credit - r is negative and the max gives 0, or at t itself,
+//     where credit - r is within drift of 0.  The tiny |r| the formula
+//     subtracts at an accumulated step, zero-credit curves included, is
+//     within drift too.
+//
+// Error.  E and the exact sum then differ only by rounding and drift, and
+// the scan bounds the gap by twice the sum of: u*(F + n + 2)*steps for F
+// step additions, n curves summed and the formula's products; u times the
+// summed |ramp_sum| after each ramp update since no ramp was last open
+// (the sum restarts at 0 then); u*2*(ramp_sum + ramps*t + |E|) for forming
+// E; and, under kCredited, n*(drift + 8*u*span) + u*n*n*(longest period)
+// for each curve's credit term and the exact sum's own rounding.  If
+// |E - (t + 1e-9)| exceeds that bound, E and the exact sum lie on the same
+// side of t + 1e-9 and give the same verdict; if not, the exact sum
+// decides.  In the 2000-trial h1 and h2 sweeps 40,419 of 1.17e9 judged
+// breakpoints took the exact sum: 292 for the window, none for the error
+// bound, and the rest in scans of a HI task whose C(LO) is clamped to its
+// period (credit == period).  tests/analysis/demand_scan_test.cpp pins the
+// returned t bit for bit against a frozen copy of the exact scan.
 #pragma once
 
 #include <algorithm>
@@ -51,6 +108,10 @@ namespace mcs::analysis::demand {
 /// If the busy-period bound exceeds this horizon, the mode conservatively
 /// fails (soundness over completeness).
 inline constexpr double kHorizonCap = 100000.0;
+/// Likewise if the scan up to the bound could take more lane steps than
+/// this.  A period below half an ulp of a lane's time would stop the lane
+/// from advancing, and the scan would never end.
+inline constexpr double kScanStepCap = 1e7;
 /// Number of uniformly spaced scale candidates in (0, 1]; also the step of
 /// GE's per-task tuning.
 inline constexpr std::size_t kScaleGrid = 20;
@@ -90,17 +151,23 @@ template <Formula F>
 void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
                   std::span<const double> scales, ModeCurves& curves);
 
-/// Busy-period-style bound: demand(t) <= slope*t + intercept (a credit only
-/// lowers demand, so ignoring it keeps the envelope an upper bound), so
-/// beyond intercept/(1 - slope) the scan always passes.  nullopt when the
-/// slope reaches 1, unless the demand is identically 0.
+/// The horizon a mode is scanned to, or nullopt when the mode
+/// conservatively fails.  Busy-period-style bound: demand(t) <= slope*t +
+/// intercept (a credit only lowers demand, so ignoring it keeps the
+/// envelope an upper bound), so beyond intercept/(1 - slope) the scan
+/// always passes.  nullopt when the slope reaches 1, unless the demand is
+/// identically 0, when the bound exceeds kHorizonCap, and when a scan up to
+/// it could take more than kScanStepCap lane steps: every lane (a step lane
+/// per curve, a kink lane per credited one) at the shortest period.
 [[nodiscard]] std::optional<double> analysis_bound(
     std::span<const Curve> curves);
 
 /// Scans the summed demand against t at every breakpoint up to `bound` and
 /// returns the first violating t, or nullopt when the demand fits.
 /// Breakpoints are the deadline steps and, under kCredited, the credit
-/// kinks: between two of them demand - t never rises.
+/// kinks: between two of them demand - t never rises.  The demand is
+/// carried between breakpoints, and the result is the exact sum's bit for
+/// bit (see the file comment).  Takes fewer than 2^32 curves.
 template <Formula F>
 [[nodiscard]] std::optional<double> first_violation(
     std::span<const Curve> curves, double bound);

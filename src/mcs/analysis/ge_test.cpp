@@ -24,9 +24,7 @@ std::optional<std::pair<std::size_t, double>> ge_violation(
   demand::build_curves(ts, members, scales, curves);
   for (std::size_t mode = 0; mode < 2; ++mode) {
     const std::optional<double> bound = demand::analysis_bound(curves[mode]);
-    if (!bound || *bound > demand::kHorizonCap) {
-      return std::make_pair(mode, 0.0);  // conservative
-    }
+    if (!bound) return std::make_pair(mode, 0.0);  // conservative
     if (*bound > 0.0) {
       if (const auto t = demand::first_violation<kFormula>(
               curves[mode], *bound)) {

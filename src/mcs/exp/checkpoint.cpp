@@ -151,7 +151,8 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path) {
 CheckpointWriter::CheckpointWriter(const std::string& path,
                                    const std::string& spec,
                                    const std::string& fingerprint,
-                                   std::size_t total_points, bool resume) {
+                                   std::size_t total_points, bool resume)
+    : path_(path) {
   out_.open(path, resume ? (std::ios::out | std::ios::app) : std::ios::out);
   if (!out_) {
     throw std::runtime_error("CheckpointWriter: cannot open '" + path + "'");
@@ -165,12 +166,20 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
     header.set("points", util::Json::number(total_points));
     out_ << header.dump() << '\n';
     out_.flush();
+    check_written();
   }
 }
 
 void CheckpointWriter::append(const PointCheckpoint& point) {
   out_ << point_to_json(point).dump() << '\n';
   out_.flush();
+  check_written();
+}
+
+void CheckpointWriter::check_written() const {
+  if (!out_) {
+    throw std::runtime_error("cannot write checkpoint '" + path_ + "'");
+  }
 }
 
 }  // namespace mcs::exp

@@ -69,9 +69,14 @@ class CheckpointWriter {
                    const std::string& fingerprint, std::size_t total_points,
                    bool resume);
 
+  /// Writes and flushes one point; throws if the write failed.
   void append(const PointCheckpoint& point);
 
  private:
+  /// Throws unless every write so far reached the file.
+  void check_written() const;
+
+  std::string path_;
   std::ofstream out_;
 };
 

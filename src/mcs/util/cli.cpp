@@ -1,5 +1,7 @@
 #include "mcs/util/cli.hpp"
 
+#include <exception>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -101,5 +103,14 @@ std::uint64_t Cli::get_or(const std::string& key, std::uint64_t fallback) const 
 }
 
 bool Cli::has(const std::string& key) const { return values_.contains(key); }
+
+int run_main(std::string_view program, const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 1;
+  }
+}
 
 }  // namespace mcs::util

@@ -2,13 +2,16 @@
 //
 // Supports `--key value` and `--key=value` forms plus boolean `--flag`.
 // Unknown options raise an error listing the accepted keys, so every bench
-// gets consistent, self-describing CLI handling for free.
+// gets consistent, self-describing CLI handling for free; a main run
+// through run_main reports that error and exits 1.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcs::util {
@@ -39,5 +42,10 @@ class Cli {
   std::map<std::string, std::string> values_;
   bool help_ = false;
 };
+
+/// Runs a program's main body.  An exception that escapes it, such as an
+/// unknown or malformed option, is reported as `<program>: <reason>` on
+/// stderr with exit status 1 instead of terminating the process.
+int run_main(std::string_view program, const std::function<int()>& body);
 
 }  // namespace mcs::util

@@ -123,6 +123,15 @@ TEST(DbfTest, RequiresDualCriticality) {
   EXPECT_THROW((void)dbf_dual_test(ts), std::invalid_argument);
 }
 
+// A period of 1e-20 is below half an ulp of a lane's time once the lane
+// passes about 1e-4, so a scan up to the LO bound would never end.  The
+// scan's step cap fails the mode conservatively instead.
+TEST(DbfTest, PeriodFarBelowTheBoundFailsInsteadOfHanging) {
+  const TaskSet ts({McTask(0, {1e-21}, 1e-20), McTask(1, {10.0, 20.0}, 100.0)},
+                   2);
+  EXPECT_FALSE(dbf_dual_test(ts).schedulable);
+}
+
 class DbfPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Soundness: a DBF-accepted set executed under EDF-VD *at the accepted

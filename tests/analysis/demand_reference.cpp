@@ -1,7 +1,6 @@
 #include "demand_reference.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -28,18 +27,19 @@ constexpr std::size_t kGreedyIterCap = 48;
 
 namespace {
 
-struct Curve {
-  double d0 = 0.0;
-  double period = 1.0;
-  double cost = 0.0;
-  double credit = 0.0;
-};
+using demand::Curve;
+using demand::Formula;
 
-double curve_demand(const Curve& c, double t) {
+template <Formula F>
+double demand_at(const Curve& c, double t) {
   if (t < c.d0 - 1e-9) return 0.0;
   const double jobs = std::floor((t - c.d0) / c.period + 1e-9) + 1.0;
-  const double r = (t - c.d0) - (jobs - 1.0) * c.period;
-  return jobs * c.cost - std::max(0.0, c.credit - r);
+  if constexpr (F == Formula::kStep) {
+    return jobs * c.cost;
+  } else {
+    const double r = (t - c.d0) - (jobs - 1.0) * c.period;
+    return jobs * c.cost - std::max(0.0, c.credit - r);
+  }
 }
 
 std::optional<double> analysis_bound(const std::vector<Curve>& curves) {
@@ -57,12 +57,18 @@ std::optional<double> analysis_bound(const std::vector<Curve>& curves) {
   return intercept / (1.0 - slope);
 }
 
-std::optional<double> first_violation(const std::vector<Curve>& curves,
-                                      double bound) {
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// first_violation (the exact sum at every distinct breakpoint)
+// ---------------------------------------------------------------------------
+
+template <Formula F>
+std::optional<double> first_violation(std::span<const Curve> curves,
+                                      double bound, ScanStats* stats) {
   struct Lane {
     double next;
     std::size_t curve;
-    bool kink;
   };
   const auto later = [](const Lane& a, const Lane& b) {
     return a.next > b.next;
@@ -72,9 +78,10 @@ std::optional<double> first_violation(const std::vector<Curve>& curves,
   for (std::size_t i = 0; i < curves.size(); ++i) {
     const Curve& c = curves[i];
     if (c.cost <= 0.0) continue;
-    if (c.d0 <= bound + 1e-9) heap.push_back({c.d0, i, false});
-    if (c.credit > 0.0 && c.d0 + c.credit <= bound + 1e-9) {
-      heap.push_back({c.d0 + c.credit, i, true});
+    if (c.d0 <= bound + 1e-9) heap.push_back({c.d0, i});
+    if (F == Formula::kCredited && c.credit > 0.0 &&
+        c.d0 + c.credit <= bound + 1e-9) {
+      heap.push_back({c.d0 + c.credit, i});
     }
   }
   std::make_heap(heap.begin(), heap.end(), later);
@@ -92,11 +99,26 @@ std::optional<double> first_violation(const std::vector<Curve>& curves,
     if (t == last) continue;
     last = t;
     double demand = 0.0;
-    for (const Curve& c : curves) demand += curve_demand(c, t);
+    for (const Curve& c : curves) demand += demand_at<F>(c, t);
+    if (stats != nullptr) {
+      ++stats->breakpoints;
+      if (std::abs(demand - (t + 1e-9)) <= 1e-12) ++stats->near_ties;
+    }
     if (demand > t + 1e-9) return t;
   }
   return std::nullopt;
 }
+
+template std::optional<double> first_violation<Formula::kStep>(
+    std::span<const Curve>, double, ScanStats*);
+template std::optional<double> first_violation<Formula::kCredited>(
+    std::span<const Curve>, double, ScanStats*);
+
+// ---------------------------------------------------------------------------
+// ge_dual_test (credited Ekberg-Yi curves, uniform tier then greedy tuning)
+// ---------------------------------------------------------------------------
+
+namespace {
 
 void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
                   std::span<const double> scales,
@@ -130,7 +152,9 @@ std::optional<std::pair<int, double>> ge_violation(
       return std::make_pair(mode, 0.0);
     }
     if (*bound > 0.0) {
-      if (const auto t = first_violation(*curves, *bound)) {
+      if (const auto t =
+              reference::first_violation<Formula::kCredited>(
+                  *curves, *bound)) {
         return std::make_pair(mode, *t);
       }
     }
@@ -221,7 +245,7 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
       bool movable;
       if (mode == 0) {
         const Curve c{scales[m] * period, period, task.wcet(1), 0.0};
-        demand = curve_demand(c, t);
+        demand = demand_at<Formula::kCredited>(c, t);
         movable = scales[m] <= 1.0 - step * 0.5;
       } else {
         demand = ge_dbf_hi(task, t, scales[m]);
@@ -252,75 +276,10 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
 
 namespace {
 
-double step_demand(double t, double d, double period, double c) {
-  if (t < d - 1e-9) return 0.0;
-  return (std::floor((t - d) / period + 1e-9) + 1.0) * c;
-}
-
-std::optional<double> first_violation(
-    const std::vector<std::array<double, 3>>& curves, double bound) {
-  struct Lane {
-    double next;
-    std::size_t curve;
-  };
-  const auto later = [](const Lane& a, const Lane& b) {
-    return a.next > b.next;
-  };
-  std::vector<Lane> heap;
-  heap.reserve(curves.size());
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    const auto& [d, period, c] = curves[i];
-    if (c <= 0.0) continue;
-    if (d <= bound + 1e-9) heap.push_back({d, i});
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  double last = -1.0;
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Lane lane = heap.back();
-    heap.pop_back();
-    const double t = lane.next;
-    lane.next += curves[lane.curve][1];
-    if (lane.next <= bound + 1e-9) {
-      heap.push_back(lane);
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-    if (t == last) continue;
-    last = t;
-    double demand = 0.0;
-    for (const auto& [d, period, c] : curves) {
-      demand += step_demand(t, d, period, c);
-    }
-    if (demand > t + 1e-9) return t;
-  }
-  return std::nullopt;
-}
-
-bool demand_fits(const std::vector<std::array<double, 3>>& curves,
-                 double bound) {
-  return !first_violation(curves, bound).has_value();
-}
-
-std::optional<double> analysis_bound(
-    const std::vector<std::array<double, 3>>& curves) {
-  double slope = 0.0;
-  double intercept = 0.0;
-  for (const auto& [d, period, c] : curves) {
-    slope += c / period;
-    intercept += c * std::max(0.0, 1.0 - d / period);
-  }
-  if (slope >= 1.0 - 1e-12) {
-    return intercept <= 1e-12 && slope <= 1.0 + 1e-12
-               ? std::optional<double>(0.0)
-               : std::nullopt;
-  }
-  return intercept / (1.0 - slope);
-}
-
 bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
                      double x) {
-  std::vector<std::array<double, 3>> lo_curves;
-  std::vector<std::array<double, 3>> hi_curves;
+  std::vector<Curve> lo_curves;
+  std::vector<Curve> hi_curves;
   for (std::size_t i : members) {
     const McTask& task = ts[i];
     const double period = task.period();
@@ -335,7 +294,10 @@ bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
     const std::optional<double> bound = analysis_bound(*curves);
     if (!bound) return false;
     if (*bound > kHorizonCap) return false;
-    if (*bound > 0.0 && !demand_fits(*curves, *bound)) return false;
+    if (*bound > 0.0 &&
+        reference::first_violation<Formula::kStep>(*curves, *bound)) {
+      return false;
+    }
   }
   return true;
 }

@@ -1,19 +1,38 @@
 // Test-only reference copies of the dual-criticality demand gates as they
 // were before the gates learned to stop once their verdict is decided: the
 // GE tuning tier runs every iteration up to its cap, and the uniform-scale
-// tiers scan LO before HI.  They exist only to be diffed against
-// analysis::ge_dual_test / analysis::dbf_dual_test bit for bit and are never
-// linked into the library.
+// tiers scan LO before HI.  Both run on a copy of the demand scan as it was
+// before it carried the demand between breakpoints: the exact sum of every
+// curve at every distinct breakpoint.  They exist only to be diffed against
+// analysis::ge_dual_test / analysis::dbf_dual_test and
+// analysis::demand::first_violation bit for bit and are never linked into
+// the library.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 
 #include "mcs/analysis/dbf.hpp"
+#include "mcs/analysis/demand_core.hpp"
 #include "mcs/analysis/ge_test.hpp"
 #include "mcs/core/taskset.hpp"
 
 namespace mcs::analysis::reference {
+
+/// What a reference scan judged.
+struct ScanStats {
+  std::size_t breakpoints = 0;  ///< distinct breakpoints judged
+  /// ... of which the exact demand lay within 1e-12 of t + 1e-9.
+  std::size_t near_ties = 0;
+};
+
+/// The first distinct breakpoint up to `bound` whose exact summed demand
+/// exceeds t + 1e-9, or nullopt; counts into `stats` when given.
+template <demand::Formula F>
+[[nodiscard]] std::optional<double> first_violation(
+    std::span<const demand::Curve> curves, double bound,
+    ScanStats* stats = nullptr);
 
 /// What the GE tuning tier (tier 2) did on one call.
 struct GeTuning {

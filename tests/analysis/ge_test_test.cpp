@@ -83,6 +83,14 @@ TEST(GeDualTest, AcceptsLightSetRejectsOverload) {
   EXPECT_FALSE(ge_dual_test(heavy).schedulable);
 }
 
+// As DbfTest.PeriodFarBelowTheBoundFailsInsteadOfHanging: the step cap
+// fails the LO scan of every uniform candidate and of the tuning tier.
+TEST(GeDualTest, PeriodFarBelowTheBoundFailsInsteadOfHanging) {
+  const TaskSet ts = dual({McTask(0, {1e-21}, 1e-20),
+                           McTask(1, {10.0, 20.0}, 100.0)});
+  EXPECT_FALSE(ge_dual_test(ts).schedulable);
+}
+
 TEST(GeDualTest, ThrowsOutsideDualCriticality) {
   const TaskSet k3({McTask(1, {1.0, 2.0, 3.0}, 10.0)}, 3);
   EXPECT_THROW((void)ge_dual_test(k3), std::invalid_argument);

@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mcs/exp/orchestrator.hpp"
@@ -454,6 +455,26 @@ TEST(ArtifactTest, UnwritableArtifactThrowsAndKeepsCheckpoint) {
   ScratchDir ref_dir("unwritable_ref");
   const SpecRunResult ref = run_spec(spec, tiny_options(ref_dir.str()));
   EXPECT_EQ(read_file(ref.json_path), read_file(rerun.json_path));
+}
+
+// A checkpoint whose writes fail must fail the run, not be reported as
+// kept: /dev/full accepts the open and fails every write.
+TEST(CheckpointWriterTest, FailedWriteThrows) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  const SweepSpec& spec = *find_spec("fig1");
+  ScratchDir dir("dev_full");
+  SpecRunOptions options = tiny_options(dir.str());
+  options.resume = false;
+  options.stop_after_points = 2;
+  const std::string checkpoint = checkpoint_path_for(options, spec);
+  fs::create_symlink("/dev/full", checkpoint);
+  try {
+    (void)run_spec(spec, options);
+    ADD_FAILURE() << "run_spec reported a checkpoint it never wrote";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cannot write checkpoint '" + checkpoint + "'");
+  }
 }
 
 TEST(ArtifactTest, LoadRoundTripsProvenanceAndPoints) {

@@ -141,6 +141,23 @@ TEST(ServerTest, AnalyzeMatchesInProcessAndSecondRequestIsCached) {
   EXPECT_EQ(stats.size, 1u);
 }
 
+// A task with a period of 1e-20 once made the GE scan of the core that
+// would hold both tasks run forever, and the worker with it.
+TEST(ServerTest, AnalyzeWithAPeriodFarBelowTheBoundIsAnswered) {
+  Server server(test_config("tiny_period"));
+  Client client(server.socket_path());
+  const AnalysisRequest request{
+      "GE-FFD", 2, 0.7,
+      TaskSet({McTask(0, {1e-21}, 1e-20), McTask(1, {10.0, 20.0}, 100.0)},
+              2)};
+  analysis::PlacementEngine reference;
+  const AnalysisResult expected = analyze(request, reference);
+  const util::Json reply = client.analyze(request);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("success").as_bool(), expected.success);
+  EXPECT_EQ(reply.at("probes").as_u64(), expected.probes);
+}
+
 TEST(ServerTest, StatsVerbMatchesServerCounters) {
   Server server(test_config("stats"));
   Client client(server.socket_path());

@@ -78,9 +78,7 @@ void run_trace_probe(const mcs::exp::SweepSpec& spec, double alpha,
                "trials; the trace has no sim-layer spans\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -205,4 +203,10 @@ int main(int argc, char** argv) {
     std::cerr << "mcs_exp: wrote trace " << *trace_path << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("mcs_exp", [&] { return run(argc, argv); });
 }

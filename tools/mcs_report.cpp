@@ -27,9 +27,7 @@ std::pair<std::string, std::string> split_block_name(const std::string& name) {
   return {name.substr(0, colon), name.substr(colon + 1)};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -168,4 +166,10 @@ int main(int argc, char** argv) {
     std::cerr << "mcs_report: " << e.what() << '\n';
     return 2;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("mcs_report", [&] { return run(argc, argv); });
 }

@@ -20,7 +20,9 @@
 
 #include "mcs/mcs.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
@@ -106,4 +108,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mcs::util::run_main("mcs_serve", [&] { return run(argc, argv); });
 }

@@ -14,7 +14,7 @@ int run(int argc, char** argv) {
   using namespace mcs;
   const util::Cli cli(
       argc, argv,
-      {{"figure", "spec to run: 1-5 or a name (fig1..fig5, a1..a4)"},
+      {{"figure", "spec to run: 1-5 or a name (fig1..fig5, a1..a4, h1, h2)"},
        {"point", "run a single point instead of a figure sweep"},
        {"trials", "task sets per data point (default 2000; paper: 50000)"},
        {"seed", "base RNG seed (default 1)"},

@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "mcs/analysis/core_util.hpp"
-#include "mcs/analysis/soa_planes.hpp"
+#include "mcs/core/soa_planes.hpp"
 #include "mcs/core/taskset.hpp"
 
 namespace mcs::analysis {

@@ -18,8 +18,11 @@ PartitionMetrics partition_metrics(const Partition& partition,
   double sum = 0.0;
   double lo = kInf;
   double hi = 0.0;
+  UtilMatrix utils(partition.planes().num_levels());
+  Theorem1Result scratch;
   for (std::size_t c = 0; c < partition.num_cores(); ++c) {
-    const double u = core_utilization(partition.utils_on(c), policy);
+    partition.utils_on(c, utils);
+    const double u = core_utilization(utils, scratch, policy);
     m.core_utils.push_back(u);
     if (u == kInf) m.feasible = false;
     sum += u;

@@ -54,7 +54,6 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
   } else {
     partition_.emplace(ts, num_cores);
   }
-  planes_.reset(ts.num_levels(), num_cores);
   batch_scratch_.resize(ts.num_levels(), num_cores);
   batch_util_.assign(num_cores, 0.0);
   batch_basic_.assign(num_cores, 0);
@@ -66,23 +65,9 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
   minmax_valid_ = true;
 }
 
-void PlacementEngine::assert_planes_match([[maybe_unused]] std::size_t core)
-    const {
-#ifndef NDEBUG
-  const UtilMatrix& matrix = partition_->utils_on(core);
-  const Level K = matrix.num_levels();
-  for (Level j = 1; j <= K; ++j) {
-    for (Level k = 1; k <= j; ++k) {
-      assert(planes_.at(j, k, core) == matrix.level_util(j, k) &&
-             "LevelUtilPlanes drifted from the per-core UtilMatrix");
-    }
-  }
-#endif
-}
-
 const UtilMatrix& PlacementEngine::with_task(std::size_t task,
                                              std::size_t core) {
-  scratch_ = partition_->utils_on(core);  // reuses scratch storage
+  partition_->utils_on(core, scratch_);  // reuses scratch storage
   scratch_.add(taskset()[task]);
   return scratch_;
 }
@@ -130,8 +115,8 @@ void PlacementEngine::probe_all_cores(std::size_t task, ProbePolicy policy,
   // all-cores scan it replaces.
   probes_ += cores;
   g_probes.add(cores);
-  batch_core_utilization(planes_, taskset()[task], policy, batch_scratch_,
-                         batch_util_.data());
+  batch_core_utilization(partition_->planes(), taskset()[task], policy,
+                         batch_scratch_, batch_util_.data());
   std::uint64_t infeasible = 0;
   for (std::size_t m = 0; m < cores; ++m) {
     const double new_util = batch_util_[m];
@@ -152,8 +137,8 @@ void PlacementEngine::probe_fits_all(std::size_t task,
   const obs::ScopedSpan span(kFitsAllSite, task, cores);
   probes_ += cores;  // one batched call == num_cores() probes
   g_probes.add(cores);
-  batch_fits(planes_, taskset()[task], batch_scratch_, batch_basic_.data(),
-             out.data());
+  batch_fits(partition_->planes(), taskset()[task], batch_scratch_,
+             batch_basic_.data(), out.data());
   // Same counter semantics as the scalar loop: Eq. (4) accepts take the
   // fast path; every basic miss runs the improved test; an improved-test
   // reject is an infeasible probe.
@@ -176,7 +161,8 @@ void PlacementEngine::probe_fits_basic_all(std::size_t task,
   const obs::ScopedSpan span(kFitsBasicAllSite, task, cores);
   probes_ += cores;  // one batched call == num_cores() probes
   g_probes.add(cores);
-  batch_fits_basic(planes_, taskset()[task], batch_scratch_, out.data());
+  batch_fits_basic(partition_->planes(), taskset()[task], batch_scratch_,
+                   out.data());
 }
 
 void PlacementEngine::probe_all_cores_2d(std::span<const std::size_t> tasks,
@@ -192,8 +178,8 @@ void PlacementEngine::probe_all_cores_2d(std::span<const std::size_t> tasks,
   probes_ += T * cores;
   g_probes.add(T * cores);
   if (batch_util_.size() < T * cores) batch_util_.resize(T * cores);
-  batch_core_utilization_2d(planes_, taskset(), tasks, policy, batch_scratch_,
-                            batch_util_.data());
+  batch_core_utilization_2d(partition_->planes(), taskset(), tasks, policy,
+                            batch_scratch_, batch_util_.data());
   std::uint64_t infeasible = 0;
   for (std::size_t t = 0; t < T; ++t) {
     for (std::size_t m = 0; m < cores; ++m) {
@@ -219,8 +205,8 @@ void PlacementEngine::probe_fits_all_2d(std::span<const std::size_t> tasks,
   probes_ += T * cores;  // one 2-D call == T * num_cores() probes
   g_probes.add(T * cores);
   if (batch_basic_.size() < T * cores) batch_basic_.resize(T * cores);
-  batch_fits_2d(planes_, taskset(), tasks, batch_scratch_, batch_basic_.data(),
-                out.data());
+  batch_fits_2d(partition_->planes(), taskset(), tasks, batch_scratch_,
+                batch_basic_.data(), out.data());
   // Same counter semantics as T scalar core loops (see probe_fits_all).
   std::uint64_t basic_accepts = 0;
   std::uint64_t rejects = 0;
@@ -242,15 +228,14 @@ void PlacementEngine::probe_fits_basic_all_2d(
   const obs::ScopedSpan span(kFitsBasic2dSite, T, cores);
   probes_ += T * cores;  // one 2-D call == T * num_cores() probes
   g_probes.add(T * cores);
-  batch_fits_basic_2d(planes_, taskset(), tasks, batch_scratch_, out.data());
+  batch_fits_basic_2d(partition_->planes(), taskset(), tasks, batch_scratch_,
+                      out.data());
 }
 
 void PlacementEngine::commit(std::size_t task, std::size_t core) {
   g_commits.add();
   obs::trace_instant(kCommitSite, task, core);
   partition_->assign(task, core);
-  planes_.add(taskset()[task], core);
-  assert_planes_match(core);
 }
 
 void PlacementEngine::commit(std::size_t task, std::size_t core,
@@ -258,8 +243,6 @@ void PlacementEngine::commit(std::size_t task, std::size_t core,
   g_commits.add();
   obs::trace_instant(kCommitSite, task, core);
   partition_->assign(task, core);
-  planes_.add(taskset()[task], core);
-  assert_planes_match(core);
   set_util(core, new_util);
 }
 
@@ -268,8 +251,6 @@ void PlacementEngine::uncommit(std::size_t task) {
   const std::size_t core = partition_->core_of(task);
   obs::trace_instant(kUncommitSite, task, core);
   partition_->unassign(task);
-  planes_.remove(taskset()[task], core);
-  assert_planes_match(core);
 }
 
 void PlacementEngine::relocate(std::size_t task, std::size_t core) {
@@ -277,10 +258,6 @@ void PlacementEngine::relocate(std::size_t task, std::size_t core) {
   obs::trace_instant(kRelocateSite, task, from, core);
   partition_->unassign(task);
   partition_->assign(task, core);
-  planes_.remove(taskset()[task], from);
-  planes_.add(taskset()[task], core);
-  assert_planes_match(from);
-  assert_planes_match(core);
 }
 
 void PlacementEngine::set_util(std::size_t core, double value) {

@@ -9,12 +9,11 @@
 //
 // The engine owns all per-core placement state and makes a probe
 // allocation-free:
-//   * the Partition itself (incrementally-maintained per-core UtilMatrix),
-//   * the same numbers transposed as struct-of-arrays level-utilization
-//     planes (LevelUtilPlanes, bitwise equal to the matrices) feeding the
-//     batched all-cores probes,
-//   * one reusable scratch UtilMatrix (probe hypotheticals are copied into
-//     it, reusing its storage) and one scratch Theorem1Result for the
+//   * the Partition itself, whose struct-of-arrays level-utilization planes
+//     (LevelUtilPlanes, the only copy of the per-core utilizations) feed
+//     the batched all-cores probes directly,
+//   * one reusable scratch UtilMatrix (a scalar probe copies core m's lane
+//     into it, reusing its storage) and one scratch Theorem1Result for the
 //     scalar reference probes, plus the batched kernel's lane scratch,
 //   * cached core utilizations U^{Psi_m} with running min/max trackers for
 //     the Lambda imbalance check (Sec. III-C),
@@ -45,7 +44,6 @@
 
 #include "mcs/analysis/batch_probe.hpp"
 #include "mcs/analysis/core_util.hpp"
-#include "mcs/analysis/soa_planes.hpp"
 #include "mcs/core/partition.hpp"
 
 namespace mcs::analysis {
@@ -159,7 +157,7 @@ class PlacementEngine {
 
   /// Classical bin-packing load of core m: the Eq. (4) own-level sum.
   [[nodiscard]] double load(std::size_t core) const {
-    return partition_->utils_on(core).own_level_sum();
+    return partition_->planes().own_level_sum(core);
   }
 
   /// Imbalance factor Lambda = (U_sys - U_min) / U_sys over the cached core
@@ -172,12 +170,7 @@ class PlacementEngine {
   [[nodiscard]] const UtilMatrix& with_task(std::size_t task,
                                             std::size_t core);
 
-  /// Debug-build cross-check of the plane == matrix bitwise invariant on
-  /// one core's lane (no-op under NDEBUG).
-  void assert_planes_match(std::size_t core) const;
-
   std::optional<Partition> partition_;
-  LevelUtilPlanes planes_;  ///< SoA mirror of the per-core UtilMatrix state
   BatchProbeScratch batch_scratch_;
   std::vector<double> batch_util_;  ///< batched new-utilization lane buffer
   std::vector<unsigned char> batch_basic_;  ///< batched Eq. (4) mask buffer

@@ -1,14 +1,19 @@
 // Task-to-core partitions (Gamma = {Psi_1, ..., Psi_M}).
 //
 // A Partition tracks which core each task of a TaskSet is assigned to and
-// incrementally maintains each core's UtilMatrix so that analysis probes are
-// O(K^2) instead of O(|Psi_m| * K).
+// incrementally maintains every core's level utilizations U_j(k) so that
+// analysis probes are O(K^2) instead of O(|Psi_m| * K).  The utilizations
+// live in one place: struct-of-arrays LevelUtilPlanes, which the batched
+// probe kernels stream directly.  Scalar code gets a core's UtilMatrix
+// derived from its lane (utils_on), bit-identical to the matrix its
+// assign/unassign history would have built.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <vector>
 
+#include "mcs/core/soa_planes.hpp"
 #include "mcs/core/taskset.hpp"
 
 namespace mcs {
@@ -27,7 +32,9 @@ class Partition {
   /// for harnesses that partition many task sets in a row.
   void reset(const TaskSet& ts, std::size_t num_cores);
 
-  [[nodiscard]] std::size_t num_cores() const noexcept { return cores_.size(); }
+  [[nodiscard]] std::size_t num_cores() const noexcept {
+    return members_.size();
+  }
   [[nodiscard]] const TaskSet& taskset() const noexcept { return *ts_; }
 
   /// Assigns task `task_index` to core `core`; the task must be unassigned.
@@ -43,12 +50,18 @@ class Partition {
 
   /// Indices of the tasks currently on core m (insertion order).
   [[nodiscard]] const std::vector<std::size_t>& tasks_on(std::size_t core) const {
-    return cores_.at(core).members;
+    return members_.at(core);
   }
 
   /// The level-utilization matrix of core m's subset Psi_m.
-  [[nodiscard]] const UtilMatrix& utils_on(std::size_t core) const {
-    return cores_.at(core).utils;
+  [[nodiscard]] UtilMatrix utils_on(std::size_t core) const;
+
+  /// utils_on(core) written into `out`, reusing its storage.
+  void utils_on(std::size_t core, UtilMatrix& out) const;
+
+  /// Every core's level utilizations, one lane per core.
+  [[nodiscard]] const LevelUtilPlanes& planes() const noexcept {
+    return planes_;
   }
 
   /// Number of tasks assigned so far.
@@ -60,14 +73,9 @@ class Partition {
   }
 
  private:
-  struct CoreState {
-    explicit CoreState(Level levels) : utils(levels) {}
-    std::vector<std::size_t> members;
-    UtilMatrix utils;
-  };
-
   const TaskSet* ts_;
-  std::vector<CoreState> cores_;
+  std::vector<std::vector<std::size_t>> members_;  ///< per core
+  LevelUtilPlanes planes_;
   std::vector<std::size_t> core_of_;
   std::size_t assigned_ = 0;
 };

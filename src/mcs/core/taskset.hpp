@@ -59,6 +59,8 @@ class UtilMatrix {
   [[nodiscard]] bool operator==(const UtilMatrix&) const = default;
 
  private:
+  friend class LevelUtilPlanes;  // copy_lane writes a core's lane in place
+
   [[nodiscard]] std::size_t index(Level j, Level k) const noexcept {
     return static_cast<std::size_t>(j - 1) * levels_ +
            static_cast<std::size_t>(k - 1);

@@ -101,9 +101,10 @@ void run_points(std::span<const PointWork> points, std::uint64_t trials,
                 std::size_t threads, bool capture_metrics,
                 const std::function<void(PointCheckpoint)>& on_point) {
   // A point without trials still gets one (empty) chunk, so it completes
-  // like any other.
-  const auto chunks = static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, (trials + kChunk - 1) / kChunk));
+  // like any other.  (Rounding up by division and remainder: adding
+  // kChunk - 1 first would wrap for trials near the uint64 limit.)
+  const auto chunks = static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, trials / kChunk + (trials % kChunk != 0 ? 1 : 0)));
   std::vector<PointSlots> slots(points.size());
   for (PointSlots& point : slots) {
     point.chunks.resize(chunks);

@@ -133,9 +133,7 @@ SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
     out.point_counters.push_back(done[i]->counters);
   }
 
-  if (out.complete && options.write_artifacts) {
-    write_artifacts(spec, options, done, out);
-  }
+  if (out.complete) write_artifacts(spec, options, done, out);
   return out;
 }
 

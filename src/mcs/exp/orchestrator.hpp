@@ -8,8 +8,7 @@
 // byte-identical to an uninterrupted run.  Observability counter deltas are
 // captured per point by the scheduler's per-chunk thread sinks; they too
 // are deterministic (every counted event derives from deterministic trial
-// work), so they are safe to persist.  Timers are wall-clock and never
-// enter artifacts.
+// work), so they are safe to persist.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +40,6 @@ struct SpecRunOptions {
   /// Stop after running this many *new* points (0 = run to completion).
   /// Simulates an interrupted sweep deterministically for resume tests.
   std::size_t stop_after_points = 0;
-  /// Write <name>.json / <name>.csv artifacts when the sweep completes.
-  bool write_artifacts = true;
   /// Enable the obs metrics registry for the run and record each point's
   /// counter deltas into the checkpoint/artifact.
   bool collect_metrics = true;

@@ -106,13 +106,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Timer& Registry::timer(const std::string& name) {
-  const std::lock_guard lock(mutex_);
-  auto& slot = timers_[name];
-  if (!slot) slot = std::make_unique<Timer>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   const std::lock_guard lock(mutex_);
   auto& slot = histograms_[name];
@@ -125,10 +118,6 @@ MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {
     snap.counters.emplace(name, counter->value());
-  }
-  for (const auto& [name, timer] : timers_) {
-    snap.timers.emplace(
-        name, MetricsSnapshot::TimerData{timer->count(), timer->total_ns()});
   }
   for (const auto& [name, hist] : histograms_) {
     MetricsSnapshot::HistogramData data;
@@ -170,7 +159,6 @@ std::map<std::string, std::uint64_t> Registry::resolve(
 void Registry::reset() {
   const std::lock_guard lock(mutex_);
   for (const auto& [name, counter] : counters_) counter->reset();
-  for (const auto& [name, timer] : timers_) timer->reset();
   for (const auto& [name, hist] : histograms_) hist->reset();
 }
 

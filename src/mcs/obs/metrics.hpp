@@ -1,5 +1,5 @@
 // Lightweight observability layer: a process-wide registry of named
-// counters, timers and histograms, instrumented into the hot paths
+// counters and histograms, instrumented into the hot paths
 // (PlacementEngine probes/commits, CA-TPA repair, sim-engine mode switches
 // and deadline checks) so experiment sweeps can report *why* numbers move.
 //
@@ -7,17 +7,15 @@
 // off by default, so the disabled path is a load + predictable branch and
 // recorded values stay zero.  When enabled, counters are relaxed atomic
 // increments — safe under the Monte-Carlo thread pool, and deterministic in
-// total because every increment derives from deterministic per-trial work.
-// Timers read the steady clock only while enabled; their values are
-// wall-clock and therefore *not* deterministic, which is why the experiment
-// orchestrator persists counter deltas but never timer values into
-// artifacts (checkpoint resume must be bit-identical).
+// total because every increment derives from deterministic per-trial work,
+// so the experiment orchestrator can persist their deltas into artifacts
+// (checkpoint resume must be bit-identical).  Wall-clock time is the
+// tracer's job (trace.hpp), not the registry's.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -151,56 +149,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Accumulated duration + call count (nanoseconds).
-class Timer {
- public:
-  void record(std::uint64_t ns) noexcept {
-    if (!metrics_enabled()) return;
-    total_ns_.fetch_add(ns, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t total_ns() const noexcept {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept {
-    total_ns_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> count_{0};
-};
-
-/// Scope guard recording its lifetime into a Timer.  The clock is read only
-/// while metrics are enabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer) noexcept
-      : timer_(timer), armed_(metrics_enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (!armed_) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer& timer_;
-  bool armed_;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 /// Power-of-two bucketed histogram of unsigned values: bucket b counts
 /// values with bit_width b (bucket 0 is the value 0).
 class Histogram {
@@ -263,10 +211,6 @@ class Histogram {
 /// one (reports, artifact counter blocks) — is deterministic and identical
 /// across platforms.  Pinned by ObsMetrics.SnapshotOrderIsLexicographic.
 struct MetricsSnapshot {
-  struct TimerData {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-  };
   struct HistogramData {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -279,7 +223,6 @@ struct MetricsSnapshot {
     std::array<std::uint64_t, Histogram::kBuckets> buckets{};
   };
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, TimerData> timers;
   std::map<std::string, HistogramData> histograms;
 };
 
@@ -291,8 +234,8 @@ struct MetricsSnapshot {
 /// Percentiles of the histogram values recorded *between* two snapshots,
 /// flattened to "<name>.p50" / ".p90" / ".p99" pseudo-counters (only for
 /// histograms whose count grew).  Histogram values are deterministic
-/// per-trial quantities (unlike timers), so these merge safely into
-/// checkpointed per-point counter maps.
+/// per-trial quantities, so these merge safely into checkpointed per-point
+/// counter maps.
 [[nodiscard]] std::map<std::string, std::uint64_t> histogram_percentile_deltas(
     const MetricsSnapshot& before, const MetricsSnapshot& after);
 
@@ -304,7 +247,6 @@ class Registry {
   static Registry& instance();
 
   Counter& counter(const std::string& name);
-  Timer& timer(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -327,7 +269,6 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Timer>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -43,7 +43,7 @@ PlacementOutcome DemandFfdPartitioner::run_on(
   // stops there; later cores are never probed (or counted).
   outcome.failed_task = place_in_order_batched(
       order_by_max_utilization(ts), engine.num_cores(),
-      SelectionRule::kFirstFeasible, 0.0,
+      SelectionRule::kFirstFeasible,
       [&](std::size_t t, std::span<Candidate> /*candidates*/,
           std::span<unsigned char> feasible) {
         std::fill(feasible.begin(), feasible.end(),

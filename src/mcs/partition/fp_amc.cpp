@@ -59,7 +59,7 @@ PlacementOutcome FpAmcPartitioner::run_on(
   // attempted inside fits_amc) and, under first-fit, early-exits at the
   // first feasible core — preserving the historical probe counts.
   outcome.failed_task = place_in_order_batched(
-      order, engine.num_cores(), selection, 0.0,
+      order, engine.num_cores(), selection,
       [&](std::size_t t, std::span<Candidate> candidates,
           std::span<unsigned char> feasible) {
         std::fill(feasible.begin(), feasible.end(),

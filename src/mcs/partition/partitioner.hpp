@@ -17,7 +17,6 @@
 // (golden parity + probe-parity fuzz target).
 #pragma once
 
-#include <cassert>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -112,14 +111,14 @@ enum class SelectionRule {
 template <typename FillFn, typename PlaceFn>
 std::optional<std::size_t> place_in_order_batched(
     std::span<const std::size_t> order, std::size_t num_cores,
-    SelectionRule rule, double tie_eps, FillFn&& fill, PlaceFn&& place) {
+    SelectionRule rule, FillFn&& fill, PlaceFn&& place) {
   std::vector<Candidate> candidates(num_cores);
   std::vector<unsigned char> feasible(num_cores, 0);
   for (const std::size_t t : order) {
     fill(t, std::span<Candidate>(candidates),
          std::span<unsigned char>(feasible));
     const CoreChoice choice =
-        reduce_core_choice(candidates, feasible, rule, tie_eps);
+        reduce_core_choice(candidates, feasible, rule, 0.0);
     if (choice.core == kUnassigned) return t;
     place(t, choice);
   }
@@ -144,11 +143,12 @@ std::optional<std::size_t> place_in_order_batched(
 ///   * the reduce treats unknowns as potential winners and resolves one
 ///     whenever it would win, re-reducing after each resolution — at most
 ///     num_cores() resolutions per task;
-///   * kMinKey with tie_eps == 0 is a pure smallest-index argmin, which is
-///     insensitive to unknown losers, so the lazy schedule reproduces
-///     reduce_core_choice over fully-fresh rows decision-for-decision.
-///     (tie_eps > 0 makes the reference scan order-dependent and is
-///     rejected by assert; schemes that need it stay on the 1-D skeleton.)
+///   * kMinKey is a pure smallest-index argmin (reduce_core_choice with
+///     tie_eps == 0), which is insensitive to unknown losers, so the lazy
+///     schedule reproduces reduce_core_choice over fully-fresh rows
+///     decision-for-decision.  (A tie_eps > 0 would make the reference
+///     scan order-dependent; schemes that need one, like CA-TPA, call
+///     reduce_core_choice themselves.)
 ///
 /// `keys(t, candidates)` must fill fresh selection keys (they are
 /// maintained by the caller, outside the probes, so they are never stale);
@@ -162,11 +162,8 @@ template <typename GateTileFn, typename RegateFn, typename KeysFn,
           typename PlaceFn>
 std::optional<std::size_t> place_in_order_batched_2d(
     std::span<const std::size_t> order, std::size_t num_cores,
-    SelectionRule rule, double tie_eps, GateTileFn&& gate_tile,
-    RegateFn&& regate, KeysFn&& keys, PlaceFn&& place) {
-  assert(tie_eps == 0.0 &&
-         "place_in_order_batched_2d: lazy lookahead requires exact argmin");
-  (void)tie_eps;
+    SelectionRule rule, GateTileFn&& gate_tile, RegateFn&& regate,
+    KeysFn&& keys, PlaceFn&& place) {
   constexpr std::size_t kTile = analysis::kBatchProbeTileTasks;
   std::vector<Candidate> candidates(num_cores);
   std::vector<unsigned char> rows(kTile * num_cores, 0);

@@ -96,11 +96,11 @@ PlacementOutcome UdTpaPartitioner::run_on(
                                         : engine.probe_fits_basic(t, m);
     };
     outcome.failed_task = place_in_order_batched_2d(
-        multi, engine.num_cores(), SelectionRule::kMinKey, 0.0, gate_tile,
-        regate, phase1_keys, phase1_place);
+        multi, engine.num_cores(), SelectionRule::kMinKey, gate_tile, regate,
+        phase1_keys, phase1_place);
     if (!outcome.failed_task.has_value()) {
       outcome.failed_task = place_in_order_batched_2d(
-          single, engine.num_cores(), SelectionRule::kMinKey, 0.0, gate_tile,
+          single, engine.num_cores(), SelectionRule::kMinKey, gate_tile,
           regate, phase2_keys, phase2_place);
     }
     outcome.success = !outcome.failed_task.has_value();
@@ -118,7 +118,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
 
   // Phase 1: spread the utilization differences (worst-fit on diff load).
   outcome.failed_task = place_in_order_batched(
-      multi, engine.num_cores(), SelectionRule::kMinKey, 0.0,
+      multi, engine.num_cores(), SelectionRule::kMinKey,
       [&](std::size_t t, std::span<Candidate> candidates,
           std::span<unsigned char> feasible) {
         gate(t, feasible);
@@ -129,7 +129,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
   // Phase 2: fill remaining LO-mode capacity (worst-fit on Eq. (4) load).
   if (!outcome.failed_task.has_value()) {
     outcome.failed_task = place_in_order_batched(
-        single, engine.num_cores(), SelectionRule::kMinKey, 0.0,
+        single, engine.num_cores(), SelectionRule::kMinKey,
         [&](std::size_t t, std::span<Candidate> candidates,
             std::span<unsigned char> feasible) {
           gate(t, feasible);

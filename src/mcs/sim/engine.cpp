@@ -51,12 +51,8 @@ obs::Counter& g_deadline_misses =
     obs::registry().counter("sim.deadline_misses");
 obs::Counter& g_jobs_dropped = obs::registry().counter("sim.jobs_dropped");
 
-// Per-engine instruments (wall-clock timers, event-loop iteration counts,
-// peak ready-queue depth) for before/after comparisons.
-obs::Timer& g_ref_run_timer =
-    obs::registry().timer("sim.engine.reference.core_run");
-obs::Timer& g_fast_run_timer =
-    obs::registry().timer("sim.engine.fast.core_run");
+// Per-engine instruments (event-loop iteration counts, peak ready-queue
+// depth) for before/after comparisons.
 obs::Counter& g_ref_loop_iters =
     obs::registry().counter("sim.engine.reference.loop_iters");
 obs::Counter& g_fast_loop_iters =
@@ -257,7 +253,6 @@ class ReferenceCoreSim : public CoreSimBase {
   }
 
   CoreStats run(double horizon) {
-    obs::ScopedTimer run_timer(g_ref_run_timer);
     const obs::ScopedSpan run_span(kRefRunSite,
                                    obs::ScopedSpan::Armed{trace_armed_},
                                    env_.core, env_.members.size());
@@ -573,7 +568,6 @@ class FastCoreSim : public CoreSimBase {
   }
 
   CoreStats run(double horizon) {
-    obs::ScopedTimer run_timer(g_fast_run_timer);
     const obs::ScopedSpan run_span(kFastRunSite,
                                    obs::ScopedSpan::Armed{trace_armed_},
                                    env_.core, env_.members.size());

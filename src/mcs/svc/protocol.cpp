@@ -22,12 +22,12 @@ std::string exact(double v) {
   return out.str();
 }
 
-Request::Kind parse_kind(const std::string& verb) {
+Request::Kind parse_kind(const std::string& verb, std::uint64_t id) {
   if (verb == "analyze") return Request::Kind::kAnalyze;
   if (verb == "ping") return Request::Kind::kPing;
   if (verb == "stats") return Request::Kind::kStats;
   if (verb == "shutdown") return Request::Kind::kShutdown;
-  throw ProtocolError("unknown request verb '" + verb + "'");
+  throw ProtocolError("unknown request verb '" + verb + "'", id);
 }
 
 const char* verb_of(Request::Kind kind) {
@@ -57,25 +57,29 @@ std::optional<Request> read_request(std::istream& in) {
   std::istringstream head(header);
   std::string magic, verb;
   std::uint64_t id = 0;
-  if (!(head >> magic >> id >> verb) || magic != kMagic) {
+  if (!(head >> magic >> id) || magic != kMagic) {
     throw ProtocolError("bad request header '" + header + "'");
+  }
+  // From here on the id is known, and every framing error echoes it.
+  if (!(head >> verb)) {
+    throw ProtocolError("bad request header '" + header + "'", id);
   }
 
   Request request;
   request.id = id;
-  request.kind = parse_kind(verb);
+  request.kind = parse_kind(verb, id);
   if (request.kind != Request::Kind::kAnalyze) return request;
 
   WireAnalyze wire;
   std::string cores_token, alpha_token;
   if (!(head >> wire.scheme_spec >> cores_token >> alpha_token)) {
-    throw ProtocolError("bad analyze header '" + header + "'");
+    throw ProtocolError("bad analyze header '" + header + "'", id);
   }
   try {
     wire.num_cores = std::stoul(cores_token);
     wire.alpha = std::stod(alpha_token);
   } catch (const std::exception&) {
-    throw ProtocolError("bad analyze header '" + header + "'");
+    throw ProtocolError("bad analyze header '" + header + "'", id);
   }
 
   // The body through "end" is the io:: task-set serialization verbatim.
@@ -89,7 +93,9 @@ std::optional<Request> read_request(std::istream& in) {
     wire.body += line;
     wire.body += '\n';
   }
-  if (!terminated) throw ProtocolError("analyze request missing 'end'");
+  if (!terminated) {
+    throw ProtocolError("analyze request missing 'end'", id);
+  }
 
   // The cache key, assembled from the received tokens verbatim — byte-
   // identical to canonical_request_text for requests produced by

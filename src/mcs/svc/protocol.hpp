@@ -41,9 +41,17 @@
 namespace mcs::svc {
 
 /// Malformed request text (bad header, bad task-set body, missing "end").
+/// Carries the request id when the header got as far as a readable one, so
+/// the error response can echo it; 0 otherwise.
 class ProtocolError : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  explicit ProtocolError(const std::string& what, std::uint64_t id = 0)
+      : std::runtime_error(what), id_(id) {}
+
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
+
+ private:
+  std::uint64_t id_;
 };
 
 /// An analyze request as received: header fields parsed, the task-set body
@@ -68,8 +76,9 @@ struct Request {
 
 /// Reads one request from `in`.  Returns nullopt on clean EOF before a
 /// header line; throws ProtocolError on malformed framing (the connection
-/// cannot be resynchronized afterwards and should be closed).  The task-
-/// set body is NOT validated here — parse_analyze does that lazily.
+/// cannot be resynchronized afterwards and should be closed), carrying the
+/// header's id once the magic and id have parsed.  The task-set body is
+/// NOT validated here — parse_analyze does that lazily.
 [[nodiscard]] std::optional<Request> read_request(std::istream& in);
 
 /// Parses a wire request's body into a full AnalysisRequest.  Throws

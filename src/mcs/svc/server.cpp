@@ -213,7 +213,7 @@ void Server::handle_connection(int fd) {
       request = read_request(in);
     } catch (const ProtocolError& e) {
       g_errors.add();
-      out << error_response(0, e.what()).dump() << '\n' << std::flush;
+      out << error_response(e.id(), e.what()).dump() << '\n' << std::flush;
       return;  // cannot resynchronize a malformed stream
     }
     if (!request) return;  // clean EOF: client closed the connection

@@ -1,5 +1,6 @@
 #include "mcs/util/cli.hpp"
 
+#include <charconv>
 #include <exception>
 #include <iostream>
 #include <sstream>
@@ -80,26 +81,39 @@ std::string Cli::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
+namespace {
+
+/// Parses the whole of `text` into `out`; false on an empty token, trailing
+/// characters, overflow, or (for an unsigned `out`) a sign.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
 double Cli::get_or(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
+  double out = 0.0;
+  if (!parse_whole(*v, out)) {
     throw std::invalid_argument("option --" + key + " expects a number, got '" +
                                 *v + "'");
   }
+  return out;
 }
 
 std::uint64_t Cli::get_or(const std::string& key, std::uint64_t fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
-  try {
-    return std::stoull(*v);
-  } catch (const std::exception&) {
+  std::uint64_t out = 0;
+  if (!parse_whole(*v, out)) {
     throw std::invalid_argument("option --" + key +
                                 " expects an integer, got '" + *v + "'");
   }
+  return out;
 }
 
 bool Cli::has(const std::string& key) const { return values_.contains(key); }

@@ -603,11 +603,8 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
   std::vector<analysis::ProbeResult> batched(num_cores);
   std::vector<unsigned char> mask(num_cores, 0);
 
-  // Independent SoA mirror, fed the same add/remove sequence as the
-  // engine's internal planes (so it is bitwise identical to them): the raw
-  // 2-D kernel is driven directly through it for the forced-backend check.
-  analysis::LevelUtilPlanes mirror;
-  mirror.reset(ts.num_levels(), num_cores);
+  // Drives the raw 2-D kernel over the engine's own planes for the
+  // forced-backend check.
   analysis::BatchProbeScratch scratch2d;
 
   // Compares every batched API against num_cores() scalar probes for one
@@ -777,14 +774,15 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
       util2d.resize(T * num_cores);
       util2d_scalar.resize(T * num_cores);
       analysis::batch_core_utilization_2d(
-          mirror, ts, tile_tasks, analysis::ProbePolicy::kMinOverFeasible,
-          scratch2d, util2d.data());
+          engine.partition().planes(), ts, tile_tasks,
+          analysis::ProbePolicy::kMinOverFeasible, scratch2d, util2d.data());
       if (!analysis::set_batch_probe_backend("scalar")) {
         return fail("set_batch_probe_backend(scalar) refused");
       }
       analysis::batch_core_utilization_2d(
-          mirror, ts, tile_tasks, analysis::ProbePolicy::kMinOverFeasible,
-          scratch2d, util2d_scalar.data());
+          engine.partition().planes(), ts, tile_tasks,
+          analysis::ProbePolicy::kMinOverFeasible, scratch2d,
+          util2d_scalar.data());
       if (!analysis::set_batch_probe_backend("auto")) {
         return fail("set_batch_probe_backend(auto) refused");
       }
@@ -812,21 +810,17 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
     }
 
     if (core_of[t] == kUnassigned) {
-      // Place it somewhere (feasible or not: the planes must track the
-      // matrices regardless of schedulability).
+      // Place it somewhere, feasible or not: parity must hold on
+      // overloaded cores too.
       const std::size_t m = rng.uniform_int(0, num_cores - 1);
       engine.commit(t, m);
-      mirror.add(ts[t], m);
       core_of[t] = m;
     } else if (rng.bernoulli(0.5) && num_cores > 1) {
       const std::size_t m = rng.uniform_int(0, num_cores - 1);
       engine.relocate(t, m);
-      mirror.remove(ts[t], core_of[t]);
-      mirror.add(ts[t], m);
       core_of[t] = m;
     } else {
       engine.uncommit(t);
-      mirror.remove(ts[t], core_of[t]);
       core_of[t] = kUnassigned;
     }
   }

@@ -21,11 +21,6 @@ TEST(MetricsTest, DisabledInstrumentsRecordNothing) {
   counter.add(100);
   EXPECT_EQ(counter.value(), 0u);
 
-  Timer timer;
-  timer.record(1234);
-  EXPECT_EQ(timer.count(), 0u);
-  EXPECT_EQ(timer.total_ns(), 0u);
-
   Histogram histogram;
   histogram.record(42);
   EXPECT_EQ(histogram.count(), 0u);
@@ -106,27 +101,10 @@ TEST(MetricsTest, HistogramMaxIsExactUnderThreadPool) {
   EXPECT_EQ(histogram.count(), kIters);
 }
 
-TEST(MetricsTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  Timer timer;
-  {
-    MetricsEnabledGuard guard(false);
-    ScopedTimer scoped(timer);
-  }
-  EXPECT_EQ(timer.count(), 0u);
-  {
-    MetricsEnabledGuard guard(true);
-    ScopedTimer scoped(timer);
-  }
-  EXPECT_EQ(timer.count(), 1u);
-}
-
 TEST(RegistryTest, LookupIsStableByName) {
   Counter& a = registry().counter("test.registry.stable");
   Counter& b = registry().counter("test.registry.stable");
   EXPECT_EQ(&a, &b);
-  Timer& t1 = registry().timer("test.registry.timer");
-  Timer& t2 = registry().timer("test.registry.timer");
-  EXPECT_EQ(&t1, &t2);
   Histogram& h1 = registry().histogram("test.registry.hist");
   Histogram& h2 = registry().histogram("test.registry.hist");
   EXPECT_EQ(&h1, &h2);

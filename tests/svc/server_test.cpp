@@ -11,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "mcs/analysis/placement.hpp"
 #include "mcs/exp/paper_params.hpp"
@@ -212,6 +213,26 @@ TEST(ServerTest, MalformedFramingClosesConnectionAfterError) {
   // The server itself is unharmed.
   Client client(server.socket_path());
   EXPECT_TRUE(client.ping().at("ok").as_bool());
+}
+
+// A framing error after a readable id is answered with that id; only a
+// header without one gets id 0.
+TEST(ServerTest, FramingErrorEchoesTheRequestId) {
+  Server server(test_config("frameid"));
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"mcs-serve/1 42 bogus\n", 42},
+      {"mcs-serve/1 43 analyze CA-TPA x 0.7\n", 43},
+      {"mcs-serve/1 44\n", 44},
+      {"mcs-serve/1 nope ping\n", 0},
+  };
+  for (const auto& [request, id] : cases) {
+    RawConnection conn(server.socket_path());
+    conn.send(request);
+    const util::Json error = util::Json::parse(conn.read_line());
+    EXPECT_FALSE(error.at("ok").as_bool()) << request;
+    EXPECT_EQ(error.at("id").as_u64(), id) << request;
+    EXPECT_EQ(conn.read_line(), "") << request;
+  }
 }
 
 // A client that hangs up before its reply is written must not take the

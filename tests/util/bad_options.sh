@@ -1,7 +1,7 @@
 #!/bin/sh
 # Every CLI given must answer a bad option with `<program>: <reason>` on
 # stderr and exit status 1, instead of aborting on an uncaught exception.
-# The first one must be mcs_exp, which is also given a malformed number.
+# The first one must be mcs_exp, which is also given malformed numbers.
 #
 # usage: bad_options.sh <mcs_exp> <other CLI>...
 failures=0
@@ -31,6 +31,7 @@ for binary in "$@"; do
   expect "unknown option '--bogus-option'" "$binary" --bogus-option 1
 done
 expect "option --trials expects an integer, got 'abc'" "$1" --trials abc
+expect "option --trials expects an integer, got '-1'" "$1" --trials -1
 if [ "$failures" -ne 0 ]; then
   exit 1
 fi

@@ -52,9 +52,15 @@ TEST(CliTest, PositionalArgumentThrows) {
 }
 
 TEST(CliTest, MalformedNumberThrows) {
-  const Cli cli = parse({"--trials", "abc"}, kOpts);
-  EXPECT_THROW((void)cli.get_or("trials", std::uint64_t{0}),
-               std::invalid_argument);
+  // The whole token must parse, and an unsigned option takes no sign.
+  for (const char* token : {"abc", "-1", "12abc"}) {
+    const Cli cli = parse({"--trials", token}, kOpts);
+    EXPECT_THROW((void)cli.get_or("trials", std::uint64_t{0}),
+                 std::invalid_argument)
+        << token;
+  }
+  const Cli cli = parse({"--seed", "0.5x"}, kOpts);
+  EXPECT_THROW((void)cli.get_or("seed", 0.0), std::invalid_argument);
 }
 
 TEST(CliTest, HelpFlag) {

@@ -1,8 +1,8 @@
 // Unified experiment orchestrator CLI.
 //
-// Runs the builtin experiment specs (the paper's figures fig1..fig5 and the
-// CA-TPA ablations a1..a4) with per-point checkpointing and versioned
-// artifact output:
+// Runs the builtin experiment specs (the paper's figures fig1..fig5, the
+// CA-TPA ablations a1..a4 and the head-to-heads h1/h2) with per-point
+// checkpointing and versioned artifact output:
 //
 //   $ mcs_exp --figure fig1 --trials 2000 --seed 1
 //   $ mcs_exp --figure all --out artifacts --commit $(git rev-parse --short HEAD)

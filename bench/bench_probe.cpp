@@ -3,7 +3,7 @@
 // task x core kernel vs. the 1-D batched loop.
 //
 //   bench_probe                  # full run, writes BENCH_probe.json
-//   bench_probe --quick          # CI smoke: fewer sweeps, 1 repetition
+//   bench_probe --quick          # CI smoke: fewer sweeps
 //   bench_probe --min-speedup 1.0 --min-speedup-2d 1.0
 //
 // Workload: K=4 criticality levels on M=8 cores (the paper's default
@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(
         argc, argv,
-        {{"quick", "CI smoke: fewer sweeps, single repetition"},
+        {{"quick", "CI smoke: 20 sweeps per repetition instead of 200"},
          {"out", "output JSON path (default BENCH_probe.json)"},
          {"min-speedup",
           "fail (exit 1) when the aggregate batched/scalar probe-throughput "
@@ -281,7 +281,10 @@ int main(int argc, char** argv) {
     const double min_speedup_2d = cli.get_or("min-speedup-2d", 1.0);
     const std::size_t sweeps = static_cast<std::size_t>(
         cli.get_or("sweeps", quick ? std::uint64_t{20} : std::uint64_t{200}));
-    const std::size_t reps = quick ? 1 : 5;
+    // Best of 5 in both modes: the committed baseline is a best-of-5, and
+    // one timing per path let a single descheduling put a --quick ratio
+    // below its floor.
+    const std::size_t reps = 5;
 
     const std::size_t sizes[] = {50, 100, 400};
 

@@ -51,6 +51,10 @@ AnalysisResult analyze(const AnalysisRequest& req,
   if (req.num_cores == 0) {
     throw std::invalid_argument("analyze: request needs at least one core");
   }
+  if (req.num_cores > kMaxCores) {
+    throw std::invalid_argument("analyze: request names more than " +
+                                std::to_string(kMaxCores) + " cores");
+  }
   const std::unique_ptr<partition::Partitioner> scheme =
       partition::make_scheme_spec(req.scheme_spec, req.alpha);
 

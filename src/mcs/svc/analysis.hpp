@@ -3,12 +3,10 @@
 //
 // A request is canonicalized to a deterministic text form (the io::
 // task-set serialization, which prints doubles at round-trip precision,
-// prefixed by the scheme/cores/alpha header) and fingerprinted with FNV-1a
-// over that text.  The fingerprint keys the daemon's analysis cache; the
-// canonical text is stored alongside each entry so a 64-bit collision is
-// detected by exact comparison instead of silently serving the wrong
-// partition.  Keying on text (rather than parsed values) is what lets the
-// daemon serve a cache hit without parsing the task set at all.
+// prefixed by the scheme/cores/alpha header).  The daemon's analysis cache
+// is keyed on that text (svc/cache.hpp), and each response carries its
+// FNV-1a fingerprint.  Keying on text (rather than parsed values) is what
+// lets the daemon serve a cache hit without parsing the task set at all.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +36,8 @@ struct AnalysisRequest {
 /// Two requests are the same work if their canonical texts are byte-equal.
 [[nodiscard]] std::string canonical_request_text(const AnalysisRequest& req);
 
-/// FNV-1a over a canonical text.  This is THE cache key derivation: the
-/// daemon fingerprints the received wire text directly, which lets a cache
-/// hit skip task-set parsing entirely — the dominant per-request cost.
+/// FNV-1a over a canonical text: the "fingerprint" of an analyze response.
+/// The daemon computes it once per cache entry, on the miss that fills it.
 [[nodiscard]] std::uint64_t canonical_fingerprint(std::string_view canonical);
 
 /// canonical_fingerprint of canonical_request_text: the fingerprint of an
@@ -51,7 +48,7 @@ struct AnalysisRequest {
 
 /// Structural FNV-1a fingerprint of a task set from exact IEEE-754 bit
 /// patterns (never decimal formatting) — formatting-independent, unlike
-/// the text-keyed cache fingerprints; used to identify workloads across
+/// the text-keyed response fingerprints; used to identify workloads across
 /// tools.
 [[nodiscard]] std::uint64_t taskset_fingerprint(const TaskSet& ts);
 
@@ -68,12 +65,18 @@ struct AnalysisResult {
   std::string partition_text;              ///< io::write_partition form
 };
 
+/// The most cores a request may name.  A core costs memory in the placement
+/// engine (46 MB for 100,000 cores with one task), so a request's core
+/// count is bounded like its size; this is 64x the largest M the sweeps
+/// and tests use.
+inline constexpr std::size_t kMaxCores = 4096;
+
 /// Runs the request on `engine` (reset to the request's task set / core
 /// count): builds the scheme via partition::make_scheme_spec, partitions,
 /// and computes the Eq. (10/11/16) metrics on success.  Deterministic: the
 /// same request always yields the same result, which is what makes caching
-/// by fingerprint sound.  Throws std::invalid_argument for an unknown
-/// scheme spec or a request with zero cores.
+/// by canonical text sound.  Throws std::invalid_argument for an unknown
+/// scheme spec or a core count outside [1, kMaxCores].
 [[nodiscard]] AnalysisResult analyze(const AnalysisRequest& req,
                                      analysis::PlacementEngine& engine);
 

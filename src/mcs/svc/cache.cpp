@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "mcs/obs/metrics.hpp"
+#include "mcs/svc/protocol.hpp"
 
 namespace mcs::svc {
 
@@ -21,10 +22,10 @@ AnalysisCache::AnalysisCache(std::size_t capacity)
   stats_.capacity = capacity_;
 }
 
-std::shared_ptr<const AnalysisResult> AnalysisCache::lookup(
-    std::uint64_t fingerprint, const std::string& canonical) {
+std::shared_ptr<const CachedAnalysis> AnalysisCache::lookup(
+    std::uint64_t key, std::string_view canonical) {
   const std::lock_guard lock(mutex_);
-  const auto it = index_.find(fingerprint);
+  const auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
     g_misses.add();
@@ -40,27 +41,30 @@ std::shared_ptr<const AnalysisResult> AnalysisCache::lookup(
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++stats_.hits;
   g_hits.add();
-  return it->second->result;
+  return it->second->value;
 }
 
-void AnalysisCache::insert(std::uint64_t fingerprint, std::string canonical,
-                           std::shared_ptr<const AnalysisResult> result) {
+std::shared_ptr<const CachedAnalysis> AnalysisCache::insert(
+    std::uint64_t key, std::string canonical,
+    std::shared_ptr<const AnalysisResult> result) {
+  auto value = std::make_shared<const CachedAnalysis>(CachedAnalysis{
+      canonical_fingerprint(canonical), result_fields(*result)});
   const std::lock_guard lock(mutex_);
-  if (const auto it = index_.find(fingerprint); it != index_.end()) {
+  if (const auto it = index_.find(key); it != index_.end()) {
     it->second->canonical = std::move(canonical);
-    it->second->result = std::move(result);
+    it->second->value = value;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return value;
   }
-  lru_.push_front(
-      Entry{fingerprint, std::move(canonical), std::move(result)});
-  index_.emplace(fingerprint, lru_.begin());
+  lru_.push_front(Entry{key, std::move(canonical), value});
+  index_.emplace(key, lru_.begin());
   if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().fingerprint);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
     g_evictions.add();
   }
+  return value;
 }
 
 CacheStats AnalysisCache::stats() const {

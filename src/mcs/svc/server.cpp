@@ -7,11 +7,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
-#include <streambuf>
+#include <string_view>
 #include <utility>
 
 #include "mcs/obs/trace.hpp"
@@ -26,58 +24,19 @@ obs::Counter& g_errors = obs::registry().counter("serve.errors");
 obs::Histogram& g_latency_us =
     obs::registry().histogram("serve.latency_us");
 
-constexpr obs::TraceSite kRequestSite{"svc.request", "id", "fingerprint"};
+constexpr obs::TraceSite kRequestSite{"svc.request", "id", "key"};
 
-/// Minimal bidirectional streambuf over a connected socket fd, so the
-/// protocol layer can stay iostream-based (one code path for files, string
-/// fixtures and live connections).  Read side is line-buffered enough for
-/// the protocol; write side flushes on sync().
-class FdStreamBuf final : public std::streambuf {
- public:
-  explicit FdStreamBuf(int fd) : fd_(fd) {
-    setg(in_, in_, in_);
-    setp(out_, out_ + sizeof(out_));
+/// Writes all of `bytes`.  MSG_NOSIGNAL: a client that hung up before its
+/// reply gets EPIPE here, which ends its connection, instead of a SIGPIPE
+/// that ends the daemon.
+bool send_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
   }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    const ssize_t n = ::read(fd_, in_, sizeof(in_));
-    if (n <= 0) return traits_type::eof();
-    setg(in_, in_, in_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
-  int_type overflow(int_type ch) override {
-    if (flush_out() != 0) return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      *pptr() = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return traits_type::not_eof(ch);
-  }
-
-  int sync() override { return flush_out(); }
-
- private:
-  // MSG_NOSIGNAL: a client that hung up before its reply gets EPIPE here,
-  // which ends its connection, instead of a SIGPIPE that ends the daemon.
-  int flush_out() {
-    const char* p = pbase();
-    while (p < pptr()) {
-      const ssize_t n = ::send(fd_, p, static_cast<std::size_t>(pptr() - p),
-                               MSG_NOSIGNAL);
-      if (n <= 0) return -1;
-      p += n;
-    }
-    setp(out_, out_ + sizeof(out_));
-    return 0;
-  }
-
-  int fd_;
-  char in_[4096];
-  char out_[4096];
-};
+  return true;
+}
 
 }  // namespace
 
@@ -203,71 +162,40 @@ void Server::worker_loop() {
 }
 
 void Server::handle_connection(int fd) {
-  FdStreamBuf buf(fd);
-  std::istream in(&buf);
-  std::ostream out(&buf);
+  RequestFramer framer;
+  const auto read = [fd](std::span<char> space) {
+    return ::read(fd, space.data(), space.size());
+  };
+  std::string out;  // the response being written; its capacity is reused
 
   for (;;) {
     std::optional<Request> request;
     try {
-      request = read_request(in);
+      request = framer.next(read);
     } catch (const ProtocolError& e) {
       g_errors.add();
-      out << error_response(e.id(), e.what()).dump() << '\n' << std::flush;
+      out.clear();
+      out += error_response(e.id(), e.what()).dump();
+      out += '\n';
+      (void)send_all(fd, out);
       return;  // cannot resynchronize a malformed stream
     }
     if (!request) return;  // clean EOF: client closed the connection
 
     const auto start = std::chrono::steady_clock::now();
-    util::Json response = util::Json::null();
+    out.clear();
     switch (request->kind) {
       case Request::Kind::kPing:
-        response = pong_response(request->id);
+      case Request::Kind::kShutdown:
+        out += pong_response(request->id).dump();
         break;
       case Request::Kind::kStats:
-        response = stats_response(request->id, cache_.stats(),
-                                  requests_served());
+        out += stats_response(request->id, cache_.stats(), requests_served())
+                   .dump();
         break;
-      case Request::Kind::kShutdown:
-        response = pong_response(request->id);
+      case Request::Kind::kAnalyze:
+        answer_analyze(*request, start, out);
         break;
-      case Request::Kind::kAnalyze: {
-        const WireAnalyze& wire = *request->analyze;
-        const std::uint64_t fingerprint = canonical_fingerprint(wire.canonical);
-        const obs::ScopedSpan span(kRequestSite, request->id, fingerprint);
-        try {
-          std::shared_ptr<const AnalysisResult> result =
-              cache_.lookup(fingerprint, wire.canonical);
-          const bool cached = result != nullptr;
-          if (!cached) {
-            // Only a miss pays for parsing the task-set body and running
-            // the partitioner; a hit is a hash + text compare.
-            const AnalysisRequest analyze_request = parse_analyze(wire);
-            EnginePool::Lease lease = engines_.acquire();
-            result = std::make_shared<const AnalysisResult>(
-                analyze(analyze_request, lease.engine()));
-            cache_.insert(fingerprint, wire.canonical, result);
-          }
-          response =
-              analysis_response(request->id, fingerprint, cached, *result);
-          // Server-side handling time (fingerprint + cache + analysis, no
-          // socket I/O): the selftest derives its cache-speedup ratio from
-          // this, which is far less noisy than client round trips.  The
-          // only response field outside the cold == warm byte-identity.
-          const double handled_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-          std::ostringstream elapsed;
-          elapsed.precision(6);
-          elapsed << handled_us;
-          response.set("elapsed_us", util::Json::number_raw(elapsed.str()));
-        } catch (const std::exception& e) {
-          g_errors.add();
-          response = error_response(request->id, e.what());
-        }
-        break;
-      }
     }
     const auto elapsed =
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -276,11 +204,48 @@ void Server::handle_connection(int fd) {
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     g_latency_us.record(static_cast<std::uint64_t>(elapsed.count()));
 
-    out << response.dump() << '\n' << std::flush;
+    out += '\n';
+    const bool sent = send_all(fd, out);
     if (request->kind == Request::Kind::kShutdown) {
       stop();
       return;
     }
+    if (!sent) return;  // the client is gone
+  }
+}
+
+void Server::answer_analyze(Request& request,
+                            std::chrono::steady_clock::time_point start,
+                            std::string& out) {
+  WireAnalyze& wire = *request.analyze;
+  const std::uint64_t key = std::hash<std::string_view>{}(wire.canonical);
+  const obs::ScopedSpan span(kRequestSite, request.id, key);
+  try {
+    std::shared_ptr<const CachedAnalysis> entry =
+        cache_.lookup(key, wire.canonical);
+    const bool cached = entry != nullptr;
+    if (!cached) {
+      // Only a miss pays for parsing the task-set body, running the
+      // partitioner, the fingerprint and rendering the result; a hit is a
+      // hash, a text compare and a copy of the rendered fields.
+      const AnalysisRequest analyze_request = parse_analyze(wire);
+      EnginePool::Lease lease = engines_.acquire();
+      auto result = std::make_shared<const AnalysisResult>(
+          analyze(analyze_request, lease.engine()));
+      entry = cache_.insert(key, std::move(wire.canonical), std::move(result));
+    }
+    // Server-side handling time (cache, and on a miss parse + analysis;
+    // no framing or socket I/O): the selftest derives its cache-speedup
+    // ratio from this, which is far less noisy than client round trips.
+    // The only response field outside the cold == warm byte-identity.
+    const double handled_us = std::chrono::duration<double, std::micro>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    append_analysis_response(out, request.id, entry->fingerprint, cached,
+                             entry->fields, handled_us);
+  } catch (const std::exception& e) {
+    g_errors.add();
+    out += error_response(request.id, e.what()).dump();
   }
 }
 

@@ -3,10 +3,11 @@
 //
 // Architecture: one accept thread feeds connections to a fixed pool of
 // worker threads.  Each worker drains its connection request-by-request:
-// fingerprint the request (svc::request_fingerprint), consult the shared
-// AnalysisCache, and on a miss lease a PlacementEngine from the shared
-// EnginePool, run svc::analyze, and insert the result.  All responses are
-// single JSON lines (svc/protocol.hpp).
+// frame the request (svc::RequestFramer), look its canonical text up in
+// the shared AnalysisCache, and on a miss lease a PlacementEngine from the
+// shared EnginePool, run svc::analyze, and insert the result.  All
+// responses are single JSON lines (svc/protocol.hpp), written with one
+// send from a buffer the connection reuses.
 //
 // Observability: every request increments serve.requests and records its
 // handling latency in the serve.latency_us histogram under an svc.request
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,6 +35,8 @@
 #include "mcs/svc/cache.hpp"
 
 namespace mcs::svc {
+
+struct Request;
 
 /// A mutex-guarded pool of reusable PlacementEngines.  Leasing recycles an
 /// engine's buffers across requests (the same trick the Monte-Carlo
@@ -100,6 +104,11 @@ class Server {
   void accept_loop();
   void worker_loop();
   void handle_connection(int fd);
+  /// Appends the response to an analyze request to `out`, its elapsed_us
+  /// timed from `start`.  A miss moves the canonical text into the cache.
+  void answer_analyze(Request& request,
+                      std::chrono::steady_clock::time_point start,
+                      std::string& out);
 
   ServerConfig config_;
   obs::MetricsEnabledGuard metrics_guard_{true};

@@ -95,9 +95,7 @@ const std::string& Json::as_string() const {
   return scalar_;
 }
 
-namespace {
-
-void escape_into(const std::string& s, std::string& out) {
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -129,8 +127,6 @@ void escape_into(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
-}  // namespace
-
 std::string Json::dump() const {
   std::string out;
   switch (type_) {
@@ -144,7 +140,7 @@ std::string Json::dump() const {
       out = scalar_;
       break;
     case Type::kString:
-      escape_into(scalar_, out);
+      append_json_string(out, scalar_);
       break;
     case Type::kArray: {
       out.push_back('[');
@@ -159,7 +155,7 @@ std::string Json::dump() const {
       out.push_back('{');
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out.push_back(',');
-        escape_into(members_[i].first, out);
+        append_json_string(out, members_[i].first);
         out.push_back(':');
         out += members_[i].second.dump();
       }

@@ -71,4 +71,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
+/// Appends `s` as a quoted JSON string, escaped exactly as Json::dump
+/// escapes it; for writers that render JSON without building a tree.
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace mcs::util

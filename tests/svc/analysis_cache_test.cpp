@@ -1,13 +1,17 @@
-// AnalysisCache semantics: LRU eviction order, fingerprint-collision
-// detection, stats accounting — plus the fingerprint/canonical-text
-// properties of svc::analysis the cache keys on, and the differential
+// AnalysisCache semantics: LRU eviction order, key-collision detection,
+// what an entry carries, stats accounting — plus the fingerprint/canonical-
+// text properties of svc::analysis the cache keys on, and the differential
 // "cached result == cold probe" guarantee.
 #include "mcs/svc/cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "mcs/analysis/placement.hpp"
 #include "mcs/exp/paper_params.hpp"
@@ -67,7 +71,19 @@ TEST(AnalysisCacheTest, InsertRefreshesExistingFingerprint) {
   EXPECT_EQ(cache.stats().size, 1u);
   const auto hit = cache.lookup(1, "a2");
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->probes, 99u);
+  EXPECT_EQ(hit->fields, result_fields(*dummy_result(99)));
+}
+
+// The entry a miss fills carries the response's fingerprint (FNV-1a of the
+// canonical text, whatever the key) and its rendered result fields, and a
+// hit returns that same entry.
+TEST(AnalysisCacheTest, EntryCarriesFingerprintAndRenderedFields) {
+  AnalysisCache cache(4);
+  const auto filled = cache.insert(7, "request A", dummy_result(3));
+  ASSERT_NE(filled, nullptr);
+  EXPECT_EQ(filled->fingerprint, canonical_fingerprint("request A"));
+  EXPECT_EQ(filled->fields, result_fields(*dummy_result(3)));
+  EXPECT_EQ(cache.lookup(7, "request A"), filled);
 }
 
 TEST(AnalysisCacheTest, CapacityFloorsAtOne) {
@@ -94,8 +110,15 @@ TEST(AnalysisFingerprintTest, WireCanonicalMatchesInProcessCanonical) {
   const AnalysisRequest request{"CA-TPA", 8, 0.7, small_taskset(0)};
   std::ostringstream wire_text;
   write_analyze_request(wire_text, 5, request);
-  std::istringstream in(wire_text.str());
-  const std::optional<Request> wire = read_request(in);
+  std::string_view rest = wire_text.view();
+  RequestFramer framer;
+  const std::optional<Request> wire =
+      framer.next([&rest](std::span<char> space) {
+        const std::size_t n = std::min(space.size(), rest.size());
+        std::memcpy(space.data(), rest.data(), n);
+        rest.remove_prefix(n);
+        return static_cast<std::ptrdiff_t>(n);
+      });
   ASSERT_TRUE(wire.has_value());
   ASSERT_TRUE(wire->analyze.has_value());
   // The daemon's zero-copy canonical (assembled from received tokens) is

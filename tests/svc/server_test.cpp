@@ -8,7 +8,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,12 +47,17 @@ AnalysisRequest sample_request(std::uint64_t trial) {
 }
 
 /// Raw connection for feeding the server bytes the Client would never
-/// produce.
+/// produce.  A read that waits longer than kReplyTimeoutS gives up, so a
+/// server that never answers fails the test instead of hanging it.
 class RawConnection {
  public:
+  static constexpr int kReplyTimeoutS = 10;
+
   explicit RawConnection(const std::string& socket_path) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd_ < 0) throw std::runtime_error("socket() failed");
+    const timeval timeout{.tv_sec = kReplyTimeoutS, .tv_usec = 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
@@ -73,15 +81,36 @@ class RawConnection {
     }
   }
 
-  /// Reads up to the next newline ("" once the server closed the stream).
+  /// Sends what the server takes of `text`; false once the server closed
+  /// the connection (without a SIGPIPE).
+  bool send_until_closed(const std::string& text) const {
+    const char* p = text.data();
+    std::size_t left = text.size();
+    while (left > 0) {
+      const ssize_t n = ::send(fd_, p, left, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      p += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// Reads up to the next newline ("" once the server closed the stream,
+  /// "<no reply>" when nothing came for kReplyTimeoutS).
   [[nodiscard]] std::string read_line() {
     std::string line;
     char ch = 0;
-    while (::read(fd_, &ch, 1) == 1) {
-      if (ch == '\n') break;
-      line += ch;
+    for (;;) {
+      const ssize_t n = ::read(fd_, &ch, 1);
+      if (n == 1 && ch != '\n') {
+        line += ch;
+      } else {
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          return "<no reply>";
+        }
+        return line;
+      }
     }
-    return line;
   }
 
  private:
@@ -306,6 +335,114 @@ TEST(ServerTest, SelftestSmoke) {
   EXPECT_GT(size0.at("speedup").as_double(), 0.0);
   EXPECT_GT(size0.at("cold").at("p99_us").as_double(), 0.0);
   EXPECT_GT(size0.at("warm").at("requests_per_sec").as_double(), 0.0);
+}
+
+/// The wire text of an analyze request.
+std::string wire_request(std::uint64_t id, const AnalysisRequest& request) {
+  std::ostringstream out;
+  write_analyze_request(out, id, request);
+  return out.str();
+}
+
+TEST(ServerTest, RequestWrittenOneByteAtATimeIsAnswered) {
+  Server server(test_config("bytewise"));
+  RawConnection conn(server.socket_path());
+  const AnalysisRequest request = sample_request(3);
+  for (const char byte : wire_request(11, request)) {
+    conn.send(std::string(1, byte));
+  }
+  analysis::PlacementEngine reference;
+  const AnalysisResult expected = analyze(request, reference);
+  const util::Json reply = util::Json::parse(conn.read_line());
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("id").as_u64(), 11u);
+  EXPECT_EQ(reply.at("fingerprint").as_string(),
+            util::u64_hex16(request_fingerprint(request)));
+  EXPECT_EQ(reply.at("probes").as_u64(), expected.probes);
+}
+
+TEST(ServerTest, RequestsInOneWriteAreAnsweredInOrder) {
+  Server server(test_config("pipelined"));
+  RawConnection conn(server.socket_path());
+  std::ostringstream ping;
+  write_command(ping, 22, Request::Kind::kPing);
+  conn.send(wire_request(21, sample_request(4)) + ping.str());
+
+  const util::Json first = util::Json::parse(conn.read_line());
+  EXPECT_EQ(first.at("id").as_u64(), 21u);
+  EXPECT_TRUE(first.at("ok").as_bool());
+  EXPECT_NE(first.find("fingerprint"), nullptr);
+  const util::Json second = util::Json::parse(conn.read_line());
+  EXPECT_EQ(second.at("id").as_u64(), 22u);
+  EXPECT_TRUE(second.at("pong").as_bool());
+}
+
+// A hit serves the bytes its miss rendered: the two response lines differ
+// only in "cached" and "elapsed_us", and the fingerprint is FNV-1a of the
+// canonical text.
+TEST(ServerTest, HitLineEqualsColdLineExceptCachedAndElapsed) {
+  Server server(test_config("hitline"));
+  RawConnection conn(server.socket_path());
+  const AnalysisRequest request = sample_request(5);
+  const std::string wire = wire_request(31, request);
+  conn.send(wire);
+  const std::string cold = conn.read_line();
+  conn.send(wire);
+  const std::string warm = conn.read_line();
+
+  // Everything before ,"elapsed_us": with the flag set to `cached`.
+  const auto without_elapsed = [](std::string line) {
+    const std::size_t at = line.find(",\"elapsed_us\":");
+    EXPECT_NE(at, std::string::npos) << line;
+    EXPECT_EQ(line.back(), '}') << line;
+    line.resize(std::min(at, line.size()));
+    return line;
+  };
+  std::string cold_as_hit = without_elapsed(cold);
+  const std::size_t flag = cold_as_hit.find("\"cached\":false");
+  ASSERT_NE(flag, std::string::npos) << cold;
+  cold_as_hit.replace(flag, 14, "\"cached\":true");
+  EXPECT_EQ(without_elapsed(warm), cold_as_hit);
+  EXPECT_EQ(util::Json::parse(warm).at("fingerprint").as_string(),
+            util::u64_hex16(request_fingerprint(request)));
+}
+
+// A request naming more than kMaxCores cores is answerable: an error, and
+// the connection stays usable.
+TEST(ServerTest, CoreCountPastTheLimitIsAnsweredWithAnError) {
+  Server server(test_config("maxcores"));
+  Client client(server.socket_path());
+  const AnalysisRequest too_many{"FFD", kMaxCores + 1, 0.7,
+                                 TaskSet({McTask(0, {1.0}, 10.0)}, 1)};
+  const util::Json error = client.analyze(too_many);
+  EXPECT_FALSE(error.at("ok").as_bool());
+  EXPECT_NE(error.at("error").as_string().find("cores"), std::string::npos);
+
+  const util::Json reply = client.analyze(sample_request(6));
+  EXPECT_TRUE(reply.at("ok").as_bool());
+}
+
+// A request past kMaxRequestBytes gets one framing error carrying its id,
+// then the server hangs up; other connections are unharmed.
+TEST(ServerTest, RequestPastTheSizeLimitClosesTheConnection) {
+  Server server(test_config("maxbytes"));
+  {
+    RawConnection conn(server.socket_path());
+    std::string request = "mcs-serve/1 41 analyze FFD 4 0.7\nK 1\n";
+    const std::string junk = "# " + std::string(1000, 'x') + "\n";
+    while (request.size() <= kMaxRequestBytes) request += junk;
+    request += "end\n";
+    (void)conn.send_until_closed(request);  // the server stops reading
+
+    const util::Json error = util::Json::parse(conn.read_line());
+    EXPECT_FALSE(error.at("ok").as_bool());
+    EXPECT_EQ(error.at("id").as_u64(), 41u);
+    EXPECT_NE(error.at("error").as_string().find("exceeds"),
+              std::string::npos);
+    EXPECT_EQ(conn.read_line(), "");
+  }
+  Client client(server.socket_path());
+  EXPECT_TRUE(client.ping().at("ok").as_bool());
 }
 
 }  // namespace

@@ -29,37 +29,26 @@ int run(int argc, char** argv) {
   options.threads =
       util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
 
-  exp::Sweep sweep;
-  sweep.name = "dual_tests";
-  sweep.x_label = "NSU";
-  for (double nsu : exp::kNsuRange) {
-    gen::GenParams p = exp::default_gen_params();
-    p.num_levels = 2;
-    p.nsu = nsu;
-    // Short periods keep the DBF busy-period bounds (and thus its cost)
-    // manageable; all schemes see the same workloads.
-    p.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
-    p.num_tasks = 40;
-    sweep.points.push_back(exp::SweepPoint{
-        .x = nsu, .params = p, .make_schemes = [] {
-          partition::PartitionerList out;
-          out.push_back(std::make_unique<partition::ClassicPartitioner>(
-              partition::FitRule::kFirst, partition::TestStrength::kBasicOnly));
-          out.push_back(std::make_unique<partition::ClassicPartitioner>(
-              partition::FitRule::kFirst));
-          out.push_back(std::make_unique<partition::CaTpaPartitioner>());
-          out.push_back(std::make_unique<partition::DemandFfdPartitioner>(
-              partition::DemandTest::kDbf));
-          return out;
-        }});
-  }
+  exp::SweepSpec spec{
+      .name = "dual_tests",
+      .title = "E3 - dual-criticality schedulability-test strength",
+      .x_label = "NSU",
+      .axis = exp::Axis::kNsu,
+      .values = {exp::kNsuRange.begin(), exp::kNsuRange.end()},
+      .base = exp::default_gen_params(),
+      .schemes = {"FFD/eq4", "FFD", "CA-TPA", "DBF-FFD"}};
+  spec.base.num_levels = 2;
+  // Short periods keep the DBF busy-period bounds (and thus its cost)
+  // manageable; all schemes see the same workloads.
+  spec.base.period_classes = {{{10.0, 40.0}, {20.0, 60.0}, {40.0, 80.0}}};
+  spec.base.num_tasks = 40;
 
-  const exp::SweepResult result =
-      run_sweep(sweep, options, [](std::size_t done, std::size_t total) {
+  const exp::SweepResult result = run_sweep(
+      spec, options, exp::kDefaultAlpha,
+      [](std::size_t done, std::size_t total) {
         std::cerr << "[dual_tests] point " << done << "/" << total << " done\n";
       });
-  print_figure(std::cout, result,
-               "E3 - dual-criticality schedulability-test strength");
+  print_figure(std::cout, result, spec.title);
   if (const auto csv = cli.get("csv")) {
     write_csv(*csv, result);
   }

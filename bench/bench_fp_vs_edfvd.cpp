@@ -30,33 +30,22 @@ int run(int argc, char** argv) {
   options.threads =
       util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));
 
-  exp::Sweep sweep;
-  sweep.name = "fp_vs_edfvd";
-  sweep.x_label = "NSU";
-  for (double nsu : exp::kNsuRange) {
-    gen::GenParams p = exp::default_gen_params();
-    p.num_levels = 2;  // AMC-rtb is dual-criticality
-    p.nsu = nsu;
-    sweep.points.push_back(exp::SweepPoint{
-        .x = nsu, .params = p, .make_schemes = [] {
-          partition::PartitionerList out;
-          out.push_back(std::make_unique<partition::FpAmcPartitioner>(
-              partition::FitRule::kFirst));
-          out.push_back(std::make_unique<partition::FpAmcPartitioner>(
-              partition::FitRule::kWorst));
-          out.push_back(std::make_unique<partition::ClassicPartitioner>(
-              partition::FitRule::kFirst));
-          out.push_back(std::make_unique<partition::CaTpaPartitioner>());
-          return out;
-        }});
-  }
+  exp::SweepSpec spec{
+      .name = "fp_vs_edfvd",
+      .title = "E2 - partitioned FP-AMC vs partitioned EDF-VD (K = 2)",
+      .x_label = "NSU",
+      .axis = exp::Axis::kNsu,
+      .values = {exp::kNsuRange.begin(), exp::kNsuRange.end()},
+      .base = exp::default_gen_params(),
+      .schemes = {"FP-AMC", "FP-AMC/WF", "FFD", "CA-TPA"}};
+  spec.base.num_levels = 2;  // AMC-rtb is dual-criticality
 
-  const exp::SweepResult result =
-      run_sweep(sweep, options, [](std::size_t done, std::size_t total) {
+  const exp::SweepResult result = run_sweep(
+      spec, options, exp::kDefaultAlpha,
+      [](std::size_t done, std::size_t total) {
         std::cerr << "[fp_vs_edfvd] point " << done << "/" << total << " done\n";
       });
-  print_figure(std::cout, result,
-               "E2 - partitioned FP-AMC vs partitioned EDF-VD (K = 2)");
+  print_figure(std::cout, result, spec.title);
   if (const auto csv = cli.get("csv")) {
     write_csv(*csv, result);
   }

@@ -33,6 +33,7 @@
 // tools/check_bench_regression.py: per-ratio-label fractional tolerances
 // (with a "default" key) that replace the gate's single global knob —
 // small-N per-size ratios get a looser floor than the aggregates.
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "interleaved_timing.hpp"
 #include "mcs/analysis/placement.hpp"
 #include "mcs/gen/taskset_generator.hpp"
 #include "mcs/obs/trace.hpp"
@@ -138,94 +140,70 @@ struct ProbeRun {
   }
 };
 
-/// Best-of-`reps` wall time for `sweeps` full probe passes, scalar path.
-ProbeRun time_scalar(analysis::PlacementEngine& engine,
-                     const std::vector<std::size_t>& tasks, std::size_t sweeps,
-                     std::size_t reps) {
-  ProbeRun best;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+struct ProbeRuns {
+  ProbeRun scalar;
+  ProbeRun batched;
+  ProbeRun batched2d;
+};
+
+/// The three probe paths over `sweeps` full probe passes, timed by one
+/// interleaved best-of-`reps` loop: M scalar probes per task, one
+/// probe_all_cores call per task, and one probe_all_cores_2d call over the
+/// whole probe list (the partitioner-scan shape).  Every path folds its
+/// results in the same (task, core) order, so the three checksums must be
+/// bit-identical.
+ProbeRuns time_probe_paths(analysis::PlacementEngine& engine,
+                           const std::vector<std::size_t>& tasks,
+                           std::size_t sweeps, std::size_t reps) {
+  constexpr auto kPolicy = analysis::ProbePolicy::kMinOverFeasible;
+  std::vector<analysis::ProbeResult> out(kCores);
+  std::vector<analysis::ProbeResult> grid(tasks.size() * kCores);
+  const auto scalar_pass = [&] {
     double checksum = 0.0;
-    const auto start = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < sweeps; ++s) {
       for (const std::size_t t : tasks) {
         for (std::size_t m = 0; m < kCores; ++m) {
-          const analysis::ProbeResult r =
-              engine.probe(t, m, analysis::ProbePolicy::kMinOverFeasible);
+          const analysis::ProbeResult r = engine.probe(t, m, kPolicy);
           if (r.feasible) checksum += r.new_util;
         }
       }
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (rep == 0 || elapsed.count() < best.seconds) {
-      best.seconds = elapsed.count();
-      best.probes = static_cast<std::uint64_t>(sweeps * tasks.size() * kCores);
-      best.checksum = checksum;
-    }
-  }
-  return best;
-}
-
-/// Same sweep through the batched API: one probe_all_cores call per task.
-ProbeRun time_batched(analysis::PlacementEngine& engine,
-                      const std::vector<std::size_t>& tasks,
-                      std::size_t sweeps, std::size_t reps) {
-  std::vector<analysis::ProbeResult> out(kCores);
-  ProbeRun best;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+    return checksum;
+  };
+  const auto batched_pass = [&] {
     double checksum = 0.0;
-    const auto start = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < sweeps; ++s) {
       for (const std::size_t t : tasks) {
-        engine.probe_all_cores(t, analysis::ProbePolicy::kMinOverFeasible,
-                               out);
+        engine.probe_all_cores(t, kPolicy, out);
         for (std::size_t m = 0; m < kCores; ++m) {
           if (out[m].feasible) checksum += out[m].new_util;
         }
       }
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (rep == 0 || elapsed.count() < best.seconds) {
-      best.seconds = elapsed.count();
-      best.probes = static_cast<std::uint64_t>(sweeps * tasks.size() * kCores);
-      best.checksum = checksum;
-    }
-  }
-  return best;
-}
-
-/// Same sweep through the 2-D kernel: one probe_all_cores_2d call over the
-/// whole probe list (the partitioner-scan shape).  The checksum folds the
-/// grid in the same (task, core) order as the 1-D loop, so it must be
-/// bit-identical to the batched checksum.
-ProbeRun time_batched_2d(analysis::PlacementEngine& engine,
-                         const std::vector<std::size_t>& tasks,
-                         std::size_t sweeps, std::size_t reps) {
-  std::vector<analysis::ProbeResult> grid(tasks.size() * kCores);
-  ProbeRun best;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
+    return checksum;
+  };
+  const auto pass_2d = [&] {
     double checksum = 0.0;
-    const auto start = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < sweeps; ++s) {
-      engine.probe_all_cores_2d(
-          tasks, analysis::ProbePolicy::kMinOverFeasible, grid);
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        for (std::size_t m = 0; m < kCores; ++m) {
-          const analysis::ProbeResult& r = grid[i * kCores + m];
-          if (r.feasible) checksum += r.new_util;
-        }
+      engine.probe_all_cores_2d(tasks, kPolicy, grid);
+      for (const analysis::ProbeResult& r : grid) {
+        if (r.feasible) checksum += r.new_util;
       }
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (rep == 0 || elapsed.count() < best.seconds) {
-      best.seconds = elapsed.count();
-      best.probes = static_cast<std::uint64_t>(sweeps * tasks.size() * kCores);
-      best.checksum = checksum;
-    }
-  }
-  return best;
+    return checksum;
+  };
+  std::array<double, 3> checksums{};
+  const std::array<double, 3> seconds =
+      bench::best_interleaved_seconds<3>(reps, [&](std::size_t path) {
+        checksums[path] = path == 0   ? scalar_pass()
+                          : path == 1 ? batched_pass()
+                                      : pass_2d();
+      });
+  const auto probes =
+      static_cast<std::uint64_t>(sweeps * tasks.size() * kCores);
+  return {{seconds[0], probes, checksums[0]},
+          {seconds[1], probes, checksums[1]},
+          {seconds[2], probes, checksums[2]}};
 }
 
 /// Average cost of one *disabled* ScopedSpan — the relaxed-atomic gate
@@ -281,9 +259,9 @@ int main(int argc, char** argv) {
     const double min_speedup_2d = cli.get_or("min-speedup-2d", 1.0);
     const std::size_t sweeps = static_cast<std::size_t>(
         cli.get_or("sweeps", quick ? std::uint64_t{20} : std::uint64_t{200}));
-    // Best of 5 in both modes: the committed baseline is a best-of-5, and
-    // one timing per path let a single descheduling put a --quick ratio
-    // below its floor.
+    // Best of 5 interleaved rounds in both modes: the committed baseline is
+    // a best-of-5, and one timing per path let a single descheduling put a
+    // --quick ratio below its floor.
     const std::size_t reps = 5;
 
     const std::size_t sizes[] = {50, 100, 400};
@@ -316,12 +294,8 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      const ProbeRun scalar =
-          time_scalar(engine, w.probe_tasks, sweeps, reps);
-      const ProbeRun batched =
-          time_batched(engine, w.probe_tasks, sweeps, reps);
-      const ProbeRun batched2d =
-          time_batched_2d(engine, w.probe_tasks, sweeps, reps);
+      const auto [scalar, batched, batched2d] =
+          time_probe_paths(engine, w.probe_tasks, sweeps, reps);
       if (!bits_equal(scalar.checksum, batched.checksum)) {
         std::cerr << "bench_probe: checksum divergence at N=" << n << "\n";
         return 1;

@@ -2,7 +2,7 @@
 // vs. the reference O(n)-scan engine, on hyperperiod-length runs.
 //
 //   bench_sim_engine                 # full run, writes BENCH_sim.json
-//   bench_sim_engine --quick         # CI smoke: short horizon, 1 repetition
+//   bench_sim_engine --quick         # CI smoke: short horizon
 //   bench_sim_engine --min-speedup 1.0
 //
 // Workload: N in {50, 100, 400} tasks on 2 cores (the paper's smallest
@@ -21,6 +21,7 @@
 // also nonzero when the fast engine's aggregate events/sec across all
 // sizes falls below --min-speedup x the reference (per-size timings at the
 // small end are sub-millisecond and too noisy to gate on individually).
+#include <array>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "interleaved_timing.hpp"
 #include "mcs/core/partition.hpp"
 #include "mcs/core/taskset.hpp"
 #include "mcs/gen/rng.hpp"
@@ -128,26 +130,22 @@ struct EngineRun {
   }
 };
 
-/// Best-of-`reps` wall time for one engine on the workload.
-EngineRun time_engine(const Partition& partition,
-                      const sim::ExecutionScenario& scenario,
-                      const sim::SimConfig& cfg, sim::EngineKind engine,
-                      std::size_t reps) {
-  sim::SimConfig run_cfg = cfg;
-  run_cfg.engine = engine;
-  EngineRun best;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const sim::SimResult result =
-        sim::simulate(partition, scenario, run_cfg, nullptr);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (rep == 0 || elapsed.count() < best.seconds) {
-      best.seconds = elapsed.count();
-      best.events = total_events(result);
-    }
-  }
-  return best;
+/// The reference and the fast engine on the workload, timed by one
+/// interleaved best-of-`reps` loop.
+std::array<EngineRun, 2> time_engines(const Partition& partition,
+                                      const sim::ExecutionScenario& scenario,
+                                      const sim::SimConfig& cfg,
+                                      std::size_t reps) {
+  std::array<sim::SimConfig, 2> configs{cfg, cfg};
+  configs[0].engine = sim::EngineKind::kReference;
+  configs[1].engine = sim::EngineKind::kEventCalendar;
+  std::array<std::uint64_t, 2> events{};
+  const std::array<double, 2> seconds =
+      bench::best_interleaved_seconds<2>(reps, [&](std::size_t path) {
+        events[path] = total_events(
+            sim::simulate(partition, scenario, configs[path], nullptr));
+      });
+  return {EngineRun{seconds[0], events[0]}, EngineRun{seconds[1], events[1]}};
 }
 
 util::Json num(double value, int precision = 6) {
@@ -184,7 +182,7 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(
         argc, argv,
-        {{"quick", "CI smoke: short horizon, single repetition"},
+        {{"quick", "CI smoke: 4 hyperperiods per run instead of 20"},
          {"out", "output JSON path (default BENCH_sim.json)"},
          {"min-speedup",
           "fail (exit 1) when the aggregate fast/reference events-per-sec "
@@ -199,7 +197,9 @@ int main(int argc, char** argv) {
     const double min_speedup = cli.get_or("min-speedup", 1.0);
     const double hyperperiods =
         cli.get_or("hyperperiods", quick ? 4.0 : 20.0);
-    const std::size_t reps = quick ? 1 : 3;
+    // Best of 5 interleaved rounds in both modes: with one timing per
+    // path, a single descheduling put a --quick ratio below its floor.
+    const std::size_t reps = 5;
 
     const std::size_t sizes[] = {50, 100, 400};
     const sim::RandomScenario scenario(gen::derive_seed(kSeed, 0xE5C),
@@ -248,11 +248,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      const EngineRun ref = time_engine(partition, scenario, cfg,
-                                        sim::EngineKind::kReference, reps);
-      const EngineRun fast = time_engine(partition, scenario, cfg,
-                                         sim::EngineKind::kEventCalendar,
-                                         reps);
+      const auto [ref, fast] = time_engines(partition, scenario, cfg, reps);
       if (ref.events != fast.events) {
         std::cerr << "bench_sim_engine: event totals diverged at N=" << n
                   << ": " << fast.events << " vs " << ref.events << "\n";

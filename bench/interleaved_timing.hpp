@@ -1,0 +1,38 @@
+// Interleaved best-of-N wall-clock timing for benches that compare code
+// paths on the same workload.
+//
+// Each round times one run of every path, and the path that goes first
+// rotates from round to round.  Host drift (a frequency change, a noisy
+// neighbour) then lands on every path alike, instead of on whichever path
+// happened to run all its repetitions while the host was slow, so the
+// ratios between paths stay steady.  Each path keeps its best time.
+#pragma once
+
+#include <array>
+#include <chrono>
+#include <cstddef>
+
+namespace mcs::bench {
+
+/// Best wall time in seconds of `run(path)` for each path in [0, Paths),
+/// over `rounds` (>= 1) interleaved rounds.
+template <std::size_t Paths, typename Run>
+[[nodiscard]] std::array<double, Paths> best_interleaved_seconds(
+    std::size_t rounds, Run&& run) {
+  std::array<double, Paths> best{};
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t k = 0; k < Paths; ++k) {
+      const std::size_t path = (round + k) % Paths;
+      const auto start = std::chrono::steady_clock::now();
+      run(path);
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      if (round == 0 || elapsed.count() < best[path]) {
+        best[path] = elapsed.count();
+      }
+    }
+  }
+  return best;
+}
+
+}  // namespace mcs::bench

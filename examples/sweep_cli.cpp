@@ -1,5 +1,7 @@
 // General-purpose sweep driver: run any builtin experiment spec (or a
-// single custom point) from the command line without writing code.
+// single custom point) from the command line without writing code.  A spec
+// run prints the four figure panels and a per-scheme summary; mcs_exp runs
+// the same specs into checkpointed artifacts.
 //
 //   $ ./examples/sweep_cli --figure 1 --trials 1000
 //   $ ./examples/sweep_cli --figure a3 --trials 50000 --csv a3.csv
@@ -82,10 +84,12 @@ int run(int argc, char** argv) {
   }
 
   const exp::SweepResult result = run_sweep(
-      to_sweep(*spec, alpha), options, [](std::size_t done, std::size_t total) {
+      *spec, options, alpha, [](std::size_t done, std::size_t total) {
         std::cerr << "point " << done << "/" << total << " done\n";
       });
   print_figure(std::cout, result, spec->title);
+  std::cout << "\nSummary across the sweep:\n";
+  print_summary(std::cout, result);
   if (const auto csv = cli.get("csv")) {
     write_csv(*csv, result);
     std::cout << "\nCSV written to " << *csv << '\n';

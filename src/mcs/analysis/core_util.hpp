@@ -13,7 +13,7 @@
 // "available utilization" semantics and (b) it empirically reproduces the
 // paper's reported 5-25% schedulability advantage of CA-TPA over FFD/BFD,
 // which the max reading does not (see EXPERIMENTS.md).  The max reading is
-// kept as an ablation (bench_ablation_probe_policy).
+// kept as an ablation (the `a3` spec).
 #pragma once
 
 #include "mcs/analysis/edfvd.hpp"

@@ -68,8 +68,7 @@ std::string checkpoint_path_for(const SpecRunOptions& options,
 }
 
 SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
-  const Sweep sweep = to_sweep(spec, options.alpha);
-  const std::size_t total = sweep.points.size();
+  const std::size_t total = spec.values.size();
 
   SpecRunResult out;
   out.fingerprint =
@@ -107,26 +106,33 @@ SpecRunResult run_spec(const SweepSpec& spec, const SpecRunOptions& options) {
     pending.push_back(i);
   }
 
+  std::vector<SpecPoint> points;
+  points.reserve(pending.size());  // each PointWork points into its SpecPoint
+  std::vector<PointWork> work;
+  work.reserve(pending.size());
+  for (const std::size_t i : pending) {
+    points.push_back(spec_point(spec, i, options.alpha, options.seed));
+    work.push_back(points.back().work());
+  }
+
   std::size_t completed = out.resumed_points;
   {
     CheckpointWriter writer(out.checkpoint_path, spec.name, out.fingerprint,
                             total, resuming);
     const obs::MetricsEnabledGuard guard(options.collect_metrics);
-    run_sweep_points(sweep, pending,
-                     RunOptions{.trials = options.trials,
-                                .seed = options.seed,
-                                .threads = options.threads},
-                     options.collect_metrics, [&](PointCheckpoint point) {
-                       writer.append(point);
-                       const std::size_t index = point.index;
-                       done[index] = std::move(point);
-                       ++completed;
-                       if (options.progress) options.progress(completed, total);
-                     });
+    run_points(work, options.trials, options.threads, options.collect_metrics,
+               [&](PointCheckpoint point) {
+                 writer.append(point);
+                 const std::size_t index = point.index;
+                 done[index] = std::move(point);
+                 ++completed;
+                 if (options.progress) options.progress(completed, total);
+               });
   }
 
   out.complete = completed == total;
-  out.result.sweep = sweep;
+  out.result.name = spec.name;
+  out.result.x_label = spec.x_label;
   for (std::size_t i = 0; i < total; ++i) {
     if (!done[i]) continue;
     out.result.points.push_back(done[i]->result);
@@ -166,13 +172,8 @@ std::optional<Artifact> load_artifact(const std::string& path) {
 }
 
 SweepResult artifact_to_sweep_result(const Artifact& artifact) {
-  SweepResult result;
-  result.sweep.name = artifact.spec;
-  result.sweep.x_label = artifact.x_label;
+  SweepResult result{.name = artifact.spec, .x_label = artifact.x_label};
   for (const PointCheckpoint& point : artifact.points) {
-    result.sweep.points.push_back(SweepPoint{.x = point.result.x,
-                                             .params = {},
-                                             .make_schemes = {}});
     result.points.push_back(point.result);
   }
   return result;

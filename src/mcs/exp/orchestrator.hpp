@@ -91,8 +91,7 @@ struct Artifact {
 [[nodiscard]] std::optional<Artifact> load_artifact(const std::string& path);
 
 /// Rebuilds a renderable SweepResult (report.hpp consumers) from an
-/// artifact.  Sweep points carry only x values — the generator config is
-/// not needed for rendering.
+/// artifact.
 [[nodiscard]] SweepResult artifact_to_sweep_result(const Artifact& artifact);
 
 }  // namespace mcs::exp

@@ -15,9 +15,8 @@ inline constexpr double kDefaultNsu = 0.6;
 inline constexpr double kDefaultAlpha = 0.7;
 inline constexpr double kDefaultIfc = 0.4;
 
-/// Paper: each data point averages 50,000 task sets.  The bench binaries
+/// Paper: each data point averages 50,000 task sets.  The sweep CLIs
 /// default lower for laptop runs; pass --trials 50000 for full fidelity.
-inline constexpr std::uint64_t kPaperTrials = 50000;
 inline constexpr std::uint64_t kDefaultTrials = 2000;
 
 /// Sweep ranges (Table IV / Figs. 1-5).

@@ -43,7 +43,7 @@ double metric_value(const SchemeAggregate& agg, Metric metric) {
 
 void print_panel(std::ostream& os, const SweepResult& result, Metric metric) {
   if (result.points.empty()) return;
-  std::vector<std::string> header{result.sweep.x_label};
+  std::vector<std::string> header{result.x_label};
   for (const SchemeAggregate& agg : result.points.front().schemes) {
     header.push_back(agg.scheme);
   }
@@ -111,7 +111,7 @@ void write_csv(const std::string& path, const SweepResult& result) {
                        "ratio", "ratio_ci95", "u_sys", "u_avg", "imbalance"});
   for (const PointResult& pt : result.points) {
     for (const SchemeAggregate& agg : pt.schemes) {
-      csv.write_row({result.sweep.name, util::format_double(pt.x, 4),
+      csv.write_row({result.name, util::format_double(pt.x, 4),
                      agg.scheme, std::to_string(agg.trials),
                      std::to_string(agg.schedulable),
                      util::format_double(agg.ratio(), 6),

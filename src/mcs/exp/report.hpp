@@ -6,7 +6,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "mcs/exp/sweep.hpp"
+#include "mcs/exp/spec.hpp"
 
 namespace mcs::exp {
 

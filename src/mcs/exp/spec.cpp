@@ -140,43 +140,61 @@ std::string spec_names() {
   return out;
 }
 
-Sweep to_sweep(const SweepSpec& spec, double alpha) {
-  Sweep sweep;
-  sweep.name = spec.name;
-  sweep.x_label = spec.x_label;
-  sweep.share_workloads_across_points = spec.share_workloads_across_points;
-  sweep.points.reserve(spec.values.size());
-  for (const double value : spec.values) {
-    gen::GenParams params = spec.base;
-    double point_alpha = alpha;
-    switch (spec.axis) {
-      case Axis::kNsu:
-        params.nsu = value;
-        break;
-      case Axis::kIfc:
-        params.ifc = value;
-        break;
-      case Axis::kAlpha:
-        point_alpha = value;
-        break;
-      case Axis::kCores:
-        params.num_cores = static_cast<std::size_t>(value);
-        break;
-      case Axis::kLevels:
-        params.num_levels = static_cast<Level>(value);
-        break;
-    }
-    const std::vector<std::string> schemes = spec.schemes;
-    sweep.points.push_back(SweepPoint{
-        .x = value,
-        .params = params,
-        .make_schemes = [schemes, point_alpha] {
-          return schemes.empty()
-                     ? partition::paper_schemes(point_alpha)
-                     : partition::make_scheme_list(schemes, point_alpha);
-        }});
+SpecPoint spec_point(const SweepSpec& spec, std::size_t index, double alpha,
+                     std::uint64_t seed) {
+  const double value = spec.values[index];
+  SpecPoint point{.index = index,
+                  .x = value,
+                  .params = spec.base,
+                  .seed = spec.share_workloads_across_points
+                              ? seed
+                              : gen::derive_seed(seed, index)};
+  switch (spec.axis) {
+    case Axis::kNsu:
+      point.params.nsu = value;
+      break;
+    case Axis::kIfc:
+      point.params.ifc = value;
+      break;
+    case Axis::kAlpha:
+      alpha = value;
+      break;
+    case Axis::kCores:
+      point.params.num_cores = static_cast<std::size_t>(value);
+      break;
+    case Axis::kLevels:
+      point.params.num_levels = static_cast<Level>(value);
+      break;
   }
-  return sweep;
+  point.schemes = spec.schemes.empty()
+                      ? partition::paper_schemes(alpha)
+                      : partition::make_scheme_list(spec.schemes, alpha);
+  return point;
+}
+
+SweepResult run_sweep(
+    const SweepSpec& spec, const RunOptions& options, double alpha,
+    const std::function<void(std::size_t, std::size_t)>& progress) {
+  const std::size_t total = spec.values.size();
+  std::vector<SpecPoint> points;
+  points.reserve(total);  // each PointWork points into its SpecPoint
+  std::vector<PointWork> work;
+  work.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    points.push_back(spec_point(spec, i, alpha, options.seed));
+    work.push_back(points.back().work());
+  }
+  SweepResult result{.name = spec.name,
+                     .x_label = spec.x_label,
+                     .points = std::vector<PointResult>(total)};
+  std::size_t completed = 0;
+  run_points(work, options.trials, options.threads, false,
+             [&](PointCheckpoint point) {
+               result.points[point.index] = std::move(point.result);
+               ++completed;
+               if (progress) progress(completed, total);
+             });
+  return result;
 }
 
 std::string spec_fingerprint(const SweepSpec& spec, std::uint64_t trials,

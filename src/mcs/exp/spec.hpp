@@ -3,8 +3,8 @@
 // A SweepSpec describes a figure- or ablation-level experiment as *data*:
 // one swept axis with its values, the non-swept generator parameters, and
 // the scheme line-up as registry spec strings (partition::make_scheme_spec
-// grammar).  Every consumer — the mcs_exp orchestrator, the bench_fig*/
-// bench_ablation_* wrappers, examples/sweep_cli — resolves named specs from
+// grammar).  Every consumer — the mcs_exp orchestrator, examples/sweep_cli,
+// the E2/E3 benches — runs a SweepSpec, and the named ones resolve from
 // the same builtin registry, so "fig1" means exactly one thing everywhere
 // and the docs pipeline can reference experiments by name.
 //
@@ -16,10 +16,11 @@
 // checkpoint resume bit-identical.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "mcs/exp/sweep.hpp"
+#include "mcs/exp/montecarlo.hpp"
 
 namespace mcs::exp {
 
@@ -59,10 +60,46 @@ struct SweepSpec {
 /// Comma-separated builtin spec names (for CLI help/errors).
 [[nodiscard]] std::string spec_names();
 
-/// Materializes the spec into a runnable Sweep.  `alpha` parameterizes
-/// schemes that do not pin their own alpha; on the kAlpha axis the point's
-/// x value overrides it (the paper's Fig. 3).
-[[nodiscard]] Sweep to_sweep(const SweepSpec& spec, double alpha);
+/// Point `index` of a spec, materialized for run_points.
+struct SpecPoint {
+  std::size_t index = 0;
+  double x = 0.0;
+  gen::GenParams params;
+  partition::PartitionerList schemes;
+  std::uint64_t seed = 1;  ///< trial t draws its task set from (seed, t)
+
+  /// The run_points item for this point; it points into *this.
+  [[nodiscard]] PointWork work() const {
+    return {.index = index,
+            .x = x,
+            .params = &params,
+            .schemes = &schemes,
+            .seed = seed};
+  }
+};
+
+/// Materializes point `index` of `spec`.  `alpha` parameterizes schemes
+/// that do not pin their own alpha; on the kAlpha axis the point's x value
+/// overrides it (the paper's Fig. 3).  The point draws its workloads from
+/// derive_seed(seed, index), or from `seed` itself when the spec shares
+/// workloads across points.
+[[nodiscard]] SpecPoint spec_point(const SweepSpec& spec, std::size_t index,
+                                   double alpha, std::uint64_t seed);
+
+/// A completed sweep, ready for the report.hpp renderers.
+struct SweepResult {
+  std::string name;     ///< e.g. "fig1"
+  std::string x_label;  ///< e.g. "NSU"
+  std::vector<PointResult> points;  ///< in point index order
+};
+
+/// Runs every point of `spec` on one run_points pool of options.threads
+/// workers, without checkpoints or artifacts (run_spec adds those).
+/// `progress`, when set, is invoked after each completed point with
+/// (points done, total).
+[[nodiscard]] SweepResult run_sweep(
+    const SweepSpec& spec, const RunOptions& options, double alpha,
+    const std::function<void(std::size_t, std::size_t)>& progress = {});
 
 /// Stable 64-bit fingerprint (as 16 hex digits) of everything that
 /// determines a run's numbers: the spec (axis, values, base generator

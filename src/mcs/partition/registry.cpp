@@ -122,6 +122,9 @@ std::unique_ptr<Partitioner> make_scheme_spec(const std::string& spec,
     return std::make_unique<ClassicPartitioner>(FitRule::kBest,
                                                 TestStrength::kBasicOnly);
   }
+  if (spec == "FP-AMC/WF") {
+    return std::make_unique<FpAmcPartitioner>(FitRule::kWorst);
+  }
   if (spec == "UD-TPA/eq4") {
     return std::make_unique<UdTpaPartitioner>(UdGate::kEq4);
   }
@@ -142,8 +145,8 @@ const std::vector<std::string>& registered_scheme_specs() {
   static const std::vector<std::string> specs = {
       "WFD",      "FFD",        "BFD",       "Hybrid",       "CA-TPA",
       "CA-TPA-R", "FP-AMC",     "DBF-FFD",   "UD-TPA",       "GE-FFD",
-      "WFD/eq4",  "FFD/eq4",    "BFD/eq4",   "UD-TPA/eq4",   "UD-TPA/ge",
-      "CA-TPA/noBal"};
+      "WFD/eq4",  "FFD/eq4",    "BFD/eq4",   "FP-AMC/WF",    "UD-TPA/eq4",
+      "UD-TPA/ge", "CA-TPA/noBal"};
   return specs;
 }
 

@@ -27,6 +27,7 @@ using PartitionerList = std::vector<std::unique_ptr<Partitioner>>;
 /// experiment registry (exp::SweepSpec) uses to describe line-ups as data.
 /// Accepts every make_scheme() name plus:
 ///   * "WFD/eq4", "FFD/eq4", "BFD/eq4"   — Eq. (4)-only test strength,
+///   * "FP-AMC/WF"                       — FP-AMC placing worst fit,
 ///   * "UD-TPA/eq4"                      — UD-TPA with the Eq. (4)-only gate,
 ///   * "UD-TPA/ge"                       — UD-TPA gated by the GE demand
 ///                                         test (dual-criticality only),

@@ -137,18 +137,13 @@ struct CoreEnv {
       return 1.0;
     }
     if (policy.num_levels() == 2 && !cfg.dual_scales.empty()) {
-      // Per-task scales (e.g. from the tuned DBF analysis): HI tasks shrink
+      // Per-task scales (e.g. from the GE or DBF analysis): HI tasks shrink
       // in LO mode, full deadlines once switched.
       if (task_level == 2 && mode == 1 && task < cfg.dual_scales.size()) {
         const double x = cfg.dual_scales[task];
         if (x > 0.0 && x <= 1.0) return x;
       }
       return 1.0;
-    }
-    if (cfg.dual_scale_override > 0.0 && cfg.dual_scale_override <= 1.0 &&
-        policy.num_levels() == 2) {
-      // HI tasks shrink in LO mode, full deadlines once switched.
-      return (task_level == 2 && mode == 1) ? cfg.dual_scale_override : 1.0;
     }
     return policy.scale(task_level, mode);
   }

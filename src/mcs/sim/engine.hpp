@@ -66,15 +66,10 @@ struct SimConfig {
   EngineKind engine = EngineKind::kEventCalendar;
   /// Use EDF-VD virtual deadlines (false forces plain EDF).
   bool use_virtual_deadlines = true;
-  /// Dual-criticality only: force this HI virtual-deadline scale factor in
-  /// LO mode instead of the Theorem-1-derived policy (used to execute the
-  /// scale chosen by the DBF analysis).  Ignored unless 0 < value <= 1 and
-  /// the task set has exactly two levels.
-  double dual_scale_override = 0.0;
   /// Dual-criticality only: per-task LO-mode virtual-deadline scales
-  /// indexed by task index (e.g. from analysis::ge_dual_test).
-  /// Entries outside (0, 1] and LO tasks are ignored.  Takes precedence
-  /// over dual_scale_override when non-empty.
+  /// indexed by task index, in place of the Theorem-1-derived policy when
+  /// non-empty (e.g. analysis::ge_dual_test's scales, or DBF's one scale
+  /// for every task).  Entries outside (0, 1] and LO tasks are ignored.
   std::vector<double> dual_scales;
   /// Sporadic arrivals: each inter-arrival time is the period plus a
   /// uniform delay in [0, sporadic_jitter * period].  0 keeps strictly

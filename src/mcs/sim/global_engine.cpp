@@ -221,10 +221,6 @@ class GlobalSim {
       }
       return 1.0;
     }
-    if (cfg_.dual_scale_override > 0.0 && cfg_.dual_scale_override <= 1.0 &&
-        ts_.num_levels() == 2) {
-      return (task_level == 2 && mode_ == 1) ? cfg_.dual_scale_override : 1.0;
-    }
     return policy_.scale(task_level, mode_);
   }
 

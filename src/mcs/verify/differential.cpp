@@ -543,7 +543,9 @@ CheckResult check_engine_parity(const TaskSet& ts, std::size_t num_cores,
       }
     }
     cfg.use_virtual_deadlines = !rng.bernoulli(0.25);
-    if (rng.bernoulli(0.3)) cfg.dual_scale_override = rng.uniform(0.5, 1.0);
+    if (rng.bernoulli(0.3)) {
+      cfg.dual_scales.assign(ts.size(), rng.uniform(0.5, 1.0));
+    }
     if (rng.bernoulli(0.4)) {
       cfg.sporadic_jitter = rng.uniform(0.05, 0.5);
       cfg.arrival_seed = gen::derive_seed(seed, round * 0x9E37ULL + 1);

@@ -152,7 +152,7 @@ TEST_P(DbfPropertyTest, AcceptedSetsNeverMissAtTheChosenScale) {
     Partition partition(ts, 1);
     for (std::size_t i = 0; i < ts.size(); ++i) partition.assign(i, 0);
     sim::SimConfig config;
-    config.dual_scale_override = dbf.scale;
+    config.dual_scales.assign(ts.size(), dbf.scale);
     for (int kind = 0; kind < 3; ++kind) {
       const sim::SimResult r = [&] {
         switch (kind) {

@@ -358,8 +358,9 @@ TEST(SvcExecutorTest, JobsOneUsesSameSchedulerAndMatches) {
   const SpecRunResult run = run_spec(spec, options);
   ASSERT_TRUE(run.complete);
   const SweepResult swept =
-      run_sweep(to_sweep(spec, options.alpha),
-                RunOptions{.trials = 70, .seed = options.seed, .threads = 1});
+      run_sweep(spec, RunOptions{.trials = 70, .seed = options.seed,
+                                 .threads = 1},
+                options.alpha);
 
   ASSERT_EQ(run.result.points.size(), swept.points.size());
   for (std::size_t p = 0; p < swept.points.size(); ++p) {
@@ -506,7 +507,8 @@ TEST(ArtifactTest, LoadRoundTripsProvenanceAndPoints) {
   }
 
   const SweepResult rendered = artifact_to_sweep_result(*artifact);
-  EXPECT_EQ(rendered.sweep.name, "a3");
+  EXPECT_EQ(rendered.name, "a3");
+  EXPECT_EQ(rendered.x_label, "NSU");
   EXPECT_EQ(rendered.points.size(), run.result.points.size());
 
   EXPECT_FALSE(load_artifact(dir.str() + "/nope.json").has_value());

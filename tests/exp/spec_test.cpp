@@ -71,75 +71,64 @@ TEST(SpecRegistryTest, SpecNamesListsEveryBuiltin) {
   }
 }
 
-// The spec-driven path must reproduce the legacy figure builders
-// bit-for-bit: same seeds, same schemes, same aggregates.
-TEST(SpecGoldenParityTest, Fig1MatchesLegacyBuilder) {
-  const SweepResult legacy =
-      run_sweep(make_fig1_nsu(default_gen_params(), 0.7), small_run());
-  const SweepResult via_spec =
-      run_sweep(to_sweep(*find_spec("fig1"), 0.7), small_run());
-  expect_same_results(legacy, via_spec);
-}
-
-TEST(SpecGoldenParityTest, Fig3MatchesLegacyBuilder) {
-  // fig3 shares workloads across points and varies alpha per point.
-  const SweepResult legacy =
-      run_sweep(make_fig3_alpha(default_gen_params()), small_run());
-  const SweepResult via_spec =
-      run_sweep(to_sweep(*find_spec("fig3"), 0.7), small_run());
-  expect_same_results(legacy, via_spec);
-}
-
-TEST(SpecGoldenParityTest, Fig5MatchesLegacyBuilder) {
-  const SweepResult legacy =
-      run_sweep(make_fig5_levels(default_gen_params(), 0.7), small_run());
-  const SweepResult via_spec =
-      run_sweep(to_sweep(*find_spec("fig5"), 0.7), small_run());
-  expect_same_results(legacy, via_spec);
+// Runs every point of an NSU-axis spec with an explicit line-up in place
+// of its spec strings, through run_points: the params and seeds a spec
+// point gets, built by hand.
+SweepResult run_explicit_lineup(const SweepSpec& spec,
+                                const partition::PartitionerList& lineup) {
+  EXPECT_EQ(spec.axis, Axis::kNsu);
+  const RunOptions options = small_run();
+  std::vector<gen::GenParams> params(spec.values.size(), spec.base);
+  std::vector<PointWork> work;
+  for (std::size_t i = 0; i < spec.values.size(); ++i) {
+    params[i].nsu = spec.values[i];
+    work.push_back(PointWork{.index = i,
+                             .x = spec.values[i],
+                             .params = &params[i],
+                             .schemes = &lineup,
+                             .seed = gen::derive_seed(options.seed, i)});
+  }
+  SweepResult result{.name = spec.name,
+                     .x_label = spec.x_label,
+                     .points = std::vector<PointResult>(spec.values.size())};
+  run_points(work, options.trials, options.threads, false,
+             [&](PointCheckpoint point) {
+               result.points[point.index] = std::move(point.result);
+             });
+  return result;
 }
 
 // The a4 spec strings must reproduce the original ablation line-up
 // (explicit ClassicPartitioner configurations) exactly.
 TEST(SpecGoldenParityTest, A4MatchesExplicitLineup) {
   using namespace mcs::partition;
-  Sweep legacy = to_sweep(*find_spec("a4"), 0.7);
-  for (SweepPoint& pt : legacy.points) {
-    pt.make_schemes = [] {
-      PartitionerList out;
-      out.push_back(std::make_unique<ClassicPartitioner>(
-          FitRule::kFirst, TestStrength::kBasicOnly));
-      out.push_back(std::make_unique<ClassicPartitioner>(
-          FitRule::kFirst, TestStrength::kBasicThenImproved));
-      out.push_back(std::make_unique<ClassicPartitioner>(
-          FitRule::kWorst, TestStrength::kBasicOnly));
-      out.push_back(std::make_unique<ClassicPartitioner>(
-          FitRule::kWorst, TestStrength::kBasicThenImproved));
-      return out;
-    };
-  }
-  expect_same_results(run_sweep(legacy, small_run()),
-                      run_sweep(to_sweep(*find_spec("a4"), 0.7), small_run()));
+  PartitionerList lineup;
+  lineup.push_back(std::make_unique<ClassicPartitioner>(
+      FitRule::kFirst, TestStrength::kBasicOnly));
+  lineup.push_back(std::make_unique<ClassicPartitioner>(
+      FitRule::kFirst, TestStrength::kBasicThenImproved));
+  lineup.push_back(std::make_unique<ClassicPartitioner>(
+      FitRule::kWorst, TestStrength::kBasicOnly));
+  lineup.push_back(std::make_unique<ClassicPartitioner>(
+      FitRule::kWorst, TestStrength::kBasicThenImproved));
+  const SweepSpec& spec = *find_spec("a4");
+  expect_same_results(run_explicit_lineup(spec, lineup),
+                      run_sweep(spec, small_run(), 0.7));
 }
 
 TEST(SpecGoldenParityTest, A1MatchesExplicitLineup) {
   using namespace mcs::partition;
-  Sweep legacy = to_sweep(*find_spec("a1"), 0.7);
-  for (SweepPoint& pt : legacy.points) {
-    pt.make_schemes = [] {
-      PartitionerList out;
-      out.push_back(std::make_unique<CaTpaPartitioner>(
-          CaTpaOptions{.use_imbalance_control = false}));
-      for (double a : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-        out.push_back(std::make_unique<CaTpaPartitioner>(CaTpaOptions{
-            .alpha = a,
-            .display_name =
-                "CA-TPA(a=" + util::format_double(a, 1) + ")"}));
-      }
-      return out;
-    };
+  PartitionerList lineup;
+  lineup.push_back(std::make_unique<CaTpaPartitioner>(
+      CaTpaOptions{.use_imbalance_control = false}));
+  for (double a : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+    lineup.push_back(std::make_unique<CaTpaPartitioner>(CaTpaOptions{
+        .alpha = a,
+        .display_name = "CA-TPA(a=" + util::format_double(a, 1) + ")"}));
   }
-  expect_same_results(run_sweep(legacy, small_run()),
-                      run_sweep(to_sweep(*find_spec("a1"), 0.7), small_run()));
+  const SweepSpec& spec = *find_spec("a1");
+  expect_same_results(run_explicit_lineup(spec, lineup),
+                      run_sweep(spec, small_run(), 0.7));
 }
 
 TEST(SchemeSpecTest, ParsesCaTpaOptions) {

@@ -54,15 +54,12 @@ void run_trace_probe(const mcs::exp::SweepSpec& spec, double alpha,
                      std::uint64_t seed) {
   using namespace mcs;
   static constexpr obs::TraceSite kProbeSite{"exp.trace_probe", "trial"};
-  const exp::Sweep sweep = exp::to_sweep(spec, alpha);
-  if (sweep.points.empty()) return;
-  const exp::SweepPoint& pt = sweep.points.front();
-  const partition::PartitionerList schemes =
-      pt.make_schemes ? pt.make_schemes() : partition::paper_schemes(alpha);
+  if (spec.values.empty()) return;
+  const exp::SpecPoint pt = exp::spec_point(spec, 0, alpha, seed);
   for (std::uint64_t trial = 0; trial < 32; ++trial) {
     const obs::ScopedSpan span(kProbeSite, trial);
     const TaskSet ts = gen::generate_trial(pt.params, seed, trial);
-    for (const auto& scheme : schemes) {
+    for (const auto& scheme : pt.schemes) {
       const partition::PartitionResult result =
           scheme->run(ts, pt.params.num_cores);
       if (!result.success) continue;
@@ -84,14 +81,13 @@ int run(int argc, char** argv) {
       argc, argv,
       {{"figure", "spec(s) to run: a name, a comma list, or 'all'"},
        {"list", "list the builtin specs and exit"},
-       {"trials", "task sets per data point (default 2000)"},
+       {"trials", "task sets per data point (default 2000; paper: 50000)"},
        {"seed", "base RNG seed (default 1)"},
        {"threads",
         "worker threads for the whole sweep (default and 0: hardware "
         "concurrency, which also caps it; artifacts are byte-identical for "
         "any count)"},
        {"alpha", "CA-TPA imbalance threshold (default 0.7)"},
-       {"full", "paper fidelity: 50000 task sets per point"},
        {"out", "artifacts directory (default: artifacts)"},
        {"commit", "provenance string recorded in artifacts"},
        {"no-resume", "ignore existing checkpoints; start fresh"},
@@ -113,8 +109,7 @@ int run(int argc, char** argv) {
   }
 
   exp::SpecRunOptions options;
-  options.trials = cli.has("full") ? exp::kPaperTrials
-                                   : cli.get_or("trials", exp::kDefaultTrials);
+  options.trials = cli.get_or("trials", exp::kDefaultTrials);
   options.seed = cli.get_or("seed", std::uint64_t{1});
   options.threads =
       util::resolve_thread_count(cli.get_or("threads", std::uint64_t{0}));

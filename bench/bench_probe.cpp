@@ -35,7 +35,6 @@
 // small-N per-size ratios get a looser floor than the aggregates.
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -47,7 +46,6 @@
 #include "interleaved_timing.hpp"
 #include "mcs/analysis/placement.hpp"
 #include "mcs/gen/taskset_generator.hpp"
-#include "mcs/obs/trace.hpp"
 #include "mcs/util/cli.hpp"
 #include "mcs/util/json.hpp"
 #include "mcs/util/table.hpp"
@@ -206,26 +204,6 @@ ProbeRuns time_probe_paths(analysis::PlacementEngine& engine,
           {seconds[2], probes, checksums[2]}};
 }
 
-/// Average cost of one *disabled* ScopedSpan — the relaxed-atomic gate
-/// check probe_all_cores pays per call when tracing is off.  Best of
-/// `reps` over `iters` construct/destroy pairs.
-double time_disabled_span_ns(std::size_t iters, std::size_t reps) {
-  static constexpr obs::TraceSite kSite{"bench.disabled_span", "i"};
-  const obs::TraceEnabledGuard off(false);
-  double best = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      const obs::ScopedSpan span(kSite, i);
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    const double ns = elapsed.count() * 1e9 / static_cast<double>(iters);
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
 util::Json num(double value, int precision = 6) {
   std::ostringstream os;
   os.precision(precision);
@@ -373,7 +351,8 @@ int main(int argc, char** argv) {
             ? batched_total_s * 1e9 / static_cast<double>(total_probes)
             : 0.0;
     const double span_ns =
-        time_disabled_span_ns(quick ? 1'000'000 : 4'000'000, quick ? 2 : 5);
+        bench::time_disabled_span_ns(quick ? 1'000'000 : 4'000'000,
+                                     quick ? 2 : 5);
     const double overhead_pct =
         batched_ns_per_probe > 0.0
             ? 100.0 * span_ns / (batched_ns_per_probe * kCores)

@@ -22,7 +22,6 @@
 // sizes falls below --min-speedup x the reference (per-size timings at the
 // small end are sub-millisecond and too noisy to gate on individually).
 #include <array>
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -33,7 +32,6 @@
 #include "mcs/core/partition.hpp"
 #include "mcs/core/taskset.hpp"
 #include "mcs/gen/rng.hpp"
-#include "mcs/obs/trace.hpp"
 #include "mcs/sim/engine.hpp"
 #include "mcs/sim/scenario.hpp"
 #include "mcs/sim/trace.hpp"
@@ -153,27 +151,6 @@ util::Json num(double value, int precision = 6) {
   os.precision(precision);
   os << value;
   return util::Json::number_raw(os.str());
-}
-
-/// Average cost of one *disabled* ScopedSpan.  simulate() pays exactly
-/// 1 + kCores of these per run when tracing is off (the top-level span plus
-/// one gate sample per core kernel); everything per-event branches on a
-/// plain cached bool.  Best of `reps` over `iters` construct/destroy pairs.
-double time_disabled_span_ns(std::size_t iters, std::size_t reps) {
-  static constexpr obs::TraceSite kSite{"bench.disabled_span", "i"};
-  const obs::TraceEnabledGuard off(false);
-  double best = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      const obs::ScopedSpan span(kSite, i);
-    }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    const double ns = elapsed.count() * 1e9 / static_cast<double>(iters);
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
 }
 
 }  // namespace
@@ -297,10 +274,13 @@ int main(int argc, char** argv) {
     doc.set("aggregate_speedup", num(aggregate));
 
     // Disabled-tracing overhead gate: one simulate() run costs 1 + kCores
-    // gate-checked spans; bound their cost against the *shortest* fast run
-    // (the worst-case ratio).  The budget is 1%.
+    // gate-checked spans (the top-level span plus one gate sample per core
+    // kernel; everything per-event branches on a plain cached bool); bound
+    // their cost against the *shortest* fast run (the worst-case ratio).
+    // The budget is 1%.
     const double span_ns =
-        time_disabled_span_ns(quick ? 1'000'000 : 4'000'000, quick ? 2 : 5);
+        bench::time_disabled_span_ns(quick ? 1'000'000 : 4'000'000,
+                                     quick ? 2 : 5);
     const double gate_ns = static_cast<double>(1 + kCores) * span_ns;
     const double overhead_pct =
         min_fast_s > 0.0 ? 100.0 * gate_ns / (min_fast_s * 1e9) : 0.0;

@@ -6,11 +6,16 @@
 // neighbour) then lands on every path alike, instead of on whichever path
 // happened to run all its repetitions while the host was slow, so the
 // ratios between paths stay steady.  Each path keeps its best time.
+//
+// time_disabled_span_ns() times the tracing gate both benches hold to their
+// 1% disabled-path budget.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstddef>
+
+#include "mcs/obs/trace.hpp"
 
 namespace mcs::bench {
 
@@ -33,6 +38,22 @@ template <std::size_t Paths, typename Run>
     }
   }
   return best;
+}
+
+/// Average cost of one *disabled* ScopedSpan, the relaxed-atomic gate check
+/// every instrumented call pays when tracing is off.  Best of `rounds` over
+/// `iters` construct/destroy pairs.
+[[nodiscard]] inline double time_disabled_span_ns(std::size_t iters,
+                                                  std::size_t rounds) {
+  static constexpr obs::TraceSite kSite{"bench.disabled_span", "i"};
+  const obs::TraceEnabledGuard off(false);
+  const std::array<double, 1> best =
+      best_interleaved_seconds<1>(rounds, [&](std::size_t) {
+        for (std::size_t i = 0; i < iters; ++i) {
+          const obs::ScopedSpan span(kSite, i);
+        }
+      });
+  return best[0] * 1e9 / static_cast<double>(iters);
 }
 
 }  // namespace mcs::bench

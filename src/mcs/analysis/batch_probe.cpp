@@ -69,7 +69,6 @@ void BatchProbeScratch::resize(Level num_levels, std::size_t num_cores) {
   base_suffix.assign((K + 1) * cores, 0.0);
   base_theta.assign(planes_km1, 0.0);
   base_min_term.assign(cores, 0.0);
-  base_eq4.assign((K + 1) * cores, 0.0);
   th_rows.assign(K > 0 ? K - 1 : 0, nullptr);
 }
 
@@ -121,21 +120,6 @@ void batch_core_utilization_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
                                double* out_util) {
   batch_kernel::active_table()->util_2d(planes, ts, tasks.data(), tasks.size(),
                                         policy, scratch, out_util);
-}
-
-void batch_fits_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                   std::span<const std::size_t> tasks,
-                   BatchProbeScratch& scratch, std::uint8_t* basic,
-                   std::uint8_t* fits) {
-  batch_kernel::active_table()->fits_2d(planes, ts, tasks.data(), tasks.size(),
-                                        scratch, basic, fits);
-}
-
-void batch_fits_basic_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                         std::span<const std::size_t> tasks,
-                         BatchProbeScratch& scratch, std::uint8_t* basic) {
-  batch_kernel::active_table()->fits_basic_2d(planes, ts, tasks.data(),
-                                              tasks.size(), scratch, basic);
 }
 
 }  // namespace mcs::analysis

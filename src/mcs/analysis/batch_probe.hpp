@@ -12,7 +12,8 @@
 //   * data-dependent scalar `break`s (invalid lambda_j, first feasible k)
 //     become monotone per-lane validity masks expressed as ternary selects.
 //
-// 2-D: evaluates T candidate tasks against all M cores in one tiled pass.
+// 2-D: evaluates the core utilization of T candidate tasks against all M
+// cores in one tiled pass.
 // Tasks are processed in task-major tiles of kBatchProbeTileTasks; within a
 // tile the hypothetical rows of every task are materialized level-by-level
 // (each committed plane row is loaded once per tile, not once per task) and
@@ -83,14 +84,13 @@ struct BatchProbeScratch {
 
   /// Per-call shared tables over the *committed* planes, filled once per
   /// 2-D call (see BaseTables in batch_probe_impl.hpp): partial sums of the
-  /// lambda numerators, theta suffix/rows, Eq. (4) prefix and the min term,
-  /// stored with the exact accumulation order of the per-task loops so a
-  /// task only recomputes the partials its own hypothetical row perturbs.
+  /// lambda numerators, theta suffix/rows and the min term, stored with the
+  /// exact accumulation order of the per-task loops so a task only
+  /// recomputes the partials its own hypothetical row perturbs.
   std::vector<double> base_num;      ///< pre_j(x) rows, (K+1) x (K+1) x M
   std::vector<double> base_suffix;   ///< theta suffix(k) rows, (K+1) x M
   std::vector<double> base_theta;    ///< committed theta(k) rows, (K-1) x M
   std::vector<double> base_min_term; ///< committed min term, M
-  std::vector<double> base_eq4;      ///< Eq. (4) prefix(x) rows, (K+1) x M
   std::vector<const double*> th_rows; ///< per-task theta row pointers, K-1
 
   Level levels = 0;
@@ -130,17 +130,6 @@ void batch_core_utilization_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
                                ProbePolicy policy, BatchProbeScratch& scratch,
                                double* out_util);
 
-/// 2-D batch_fits: basic/fits are task-major T x M byte masks.
-void batch_fits_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                   std::span<const std::size_t> tasks,
-                   BatchProbeScratch& scratch, std::uint8_t* basic,
-                   std::uint8_t* fits);
-
-/// 2-D Eq. (4)-only mask, task-major T x M.
-void batch_fits_basic_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                         std::span<const std::size_t> tasks,
-                         BatchProbeScratch& scratch, std::uint8_t* basic);
-
 // --- Backend selection -------------------------------------------------------
 
 /// Name of the lane backend the batched kernels currently run on:
@@ -168,12 +157,6 @@ struct KernelTable {
                         BatchProbeScratch&, std::uint8_t*);
   void (*util_2d)(const LevelUtilPlanes&, const TaskSet&, const std::size_t*,
                   std::size_t, ProbePolicy, BatchProbeScratch&, double*);
-  void (*fits_2d)(const LevelUtilPlanes&, const TaskSet&, const std::size_t*,
-                  std::size_t, BatchProbeScratch&, std::uint8_t*,
-                  std::uint8_t*);
-  void (*fits_basic_2d)(const LevelUtilPlanes&, const TaskSet&,
-                        const std::size_t*, std::size_t, BatchProbeScratch&,
-                        std::uint8_t*);
   const char* backend;
 };
 

@@ -91,7 +91,6 @@ void materialize_tile(const LevelUtilPlanes& planes, const TaskSet& ts,
 ///   * suffix(k)  = sum_{x=k..K-1} plane(x, x), descending (theta partials;
 ///     suffix(K) is the zero seed), and theta(k) = suffix(k) + min_term for
 ///     the committed min term — rows k > l_t are reused as-is.
-///   * eq4(x)     = sum_{k=1..x} plane(k, k), ascending (Eq. (4) partials).
 ///   * min_term   — committed; reused whole by every task with l_t < K.
 class BaseTables {
  public:
@@ -108,25 +107,8 @@ class BaseTables {
   [[nodiscard]] const double* theta(Level k) const {
     return s_->base_theta.data() + static_cast<std::size_t>(k - 1) * M_;
   }
-  [[nodiscard]] const double* eq4(Level x) const {
-    return s_->base_eq4.data() + static_cast<std::size_t>(x) * M_;
-  }
   [[nodiscard]] const double* min_term() const {
     return s_->base_min_term.data();
-  }
-
-  /// Fills the Eq. (4) prefix table (K >= 1).
-  void build_eq4(const LevelUtilPlanes& planes) {
-    double* __restrict rows = s_->base_eq4.data();
-    std::fill(rows, rows + M_, 0.0);
-    for (Level k = 1; k <= K_; ++k) {
-      const double* __restrict diag = planes.plane(k, k);
-      const double* __restrict prev = rows + (k - std::size_t{1}) * M_;
-      double* __restrict cur = rows + static_cast<std::size_t>(k) * M_;
-      for (std::size_t m = 0; m < M_; ++m) {  // lane loop: base Eq. (4)
-        cur[m] = prev[m] + diag[m];
-      }
-    }
   }
 
   /// Fills the lambda-numerator, min-term and theta tables (K >= 2).
@@ -532,34 +514,17 @@ void run_improved(const LevelUtilPlanes& planes, const RowView& row, Level jt,
 }
 
 /// Eq. (4) left-hand side with the task added: sum_k row(k, k), ascending —
-/// the same accumulation order as UtilMatrix::own_level_sum.  With
-/// BaseTables the committed prefix is resumed at k = l_t and extended with
-/// the remaining committed diagonals.
-void basic_mask(const LevelUtilPlanes& planes, const RowView& row, Level jt,
-                const BaseTables* base, BatchProbeScratch& s,
-                std::uint8_t* __restrict out) {
+/// the same accumulation order as UtilMatrix::own_level_sum.
+void basic_mask(const LevelUtilPlanes& planes, const RowView& row,
+                BatchProbeScratch& s, std::uint8_t* __restrict out) {
   const Level K = planes.num_levels();
   const std::size_t M = planes.num_cores();
   double* __restrict total = s.acc.data();
-  if (base != nullptr) {
-    const double* __restrict pre = base->eq4(jt - 1);
-    const double* __restrict h = row(jt, jt);
-    for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) resume
-      total[m] = pre[m] + h[m];
-    }
-    for (Level k = jt + 1; k <= K; ++k) {
-      const double* __restrict diag = planes.plane(k, k);
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) extend
-        total[m] += diag[m];
-      }
-    }
-  } else {
-    std::fill(total, total + M, 0.0);
-    for (Level k = 1; k <= K; ++k) {
-      const double* __restrict diag = row(k, k);
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) sum
-        total[m] += diag[m];
-      }
+  std::fill(total, total + M, 0.0);
+  for (Level k = 1; k <= K; ++k) {
+    const double* __restrict diag = row(k, k);
+    for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) sum
+      total[m] += diag[m];
     }
   }
   for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) mask
@@ -597,14 +562,14 @@ void utilization_row(const LevelUtilPlanes& planes, const RowView& row,
   }
 }
 
-/// Shared fits post-pass: basic + (K >= 2) improved accept masks per task.
+/// The fits post-pass: basic + (K >= 2) improved accept masks of one task.
 template <class Ops>
 void fits_row(const LevelUtilPlanes& planes, const RowView& row, Level jt,
-              const BaseTables* base, BatchProbeScratch& s,
-              std::uint8_t* __restrict basic, std::uint8_t* __restrict fits) {
+              BatchProbeScratch& s, std::uint8_t* __restrict basic,
+              std::uint8_t* __restrict fits) {
   const Level K = planes.num_levels();
   const std::size_t M = planes.num_cores();
-  basic_mask(planes, row, jt, base, s, basic);
+  basic_mask(planes, row, s, basic);
   if (K == 1) {
     // Eq. (4) and the improved test coincide at K == 1 (plain EDF).
     std::copy(basic, basic + M, fits);
@@ -613,7 +578,7 @@ void fits_row(const LevelUtilPlanes& planes, const RowView& row, Level jt,
   // The scalar path runs the improved test only where Eq. (4) failed; the
   // improved test is pure, so running it on every lane and OR-ing with the
   // basic mask yields the identical accept decision.
-  run_improved<Ops>(planes, row, jt, base, ProbePolicy::kMinOverFeasible,
+  run_improved<Ops>(planes, row, jt, nullptr, ProbePolicy::kMinOverFeasible,
                     /*fold=*/false, s);
   const double* __restrict sched = s.sched.data();
   for (std::size_t m = 0; m < M; ++m) {  // lane loop: accept mask
@@ -646,7 +611,7 @@ void fits_1d(const LevelUtilPlanes& planes, const McTask& task,
   ensure_scratch(planes, s);
   materialize_task_row(planes, task, s.hrow.data());
   const RowView row(planes, s.hrow.data(), task.level());
-  fits_row<Ops>(planes, row, task.level(), nullptr, s, basic, fits);
+  fits_row<Ops>(planes, row, task.level(), s, basic, fits);
 }
 
 void fits_basic_1d(const LevelUtilPlanes& planes, const McTask& task,
@@ -654,7 +619,7 @@ void fits_basic_1d(const LevelUtilPlanes& planes, const McTask& task,
   ensure_scratch(planes, s);
   materialize_task_row(planes, task, s.hrow.data());
   const RowView row(planes, s.hrow.data(), task.level());
-  basic_mask(planes, row, task.level(), nullptr, s, basic);
+  basic_mask(planes, row, s, basic);
 }
 
 template <class Ops>
@@ -684,61 +649,9 @@ void util_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
 }
 
 template <class Ops>
-void fits_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-             const std::size_t* tasks, std::size_t T, BatchProbeScratch& s,
-             std::uint8_t* basic, std::uint8_t* fits) {
-  ensure_scratch(planes, s);
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  const std::size_t row_stride = static_cast<std::size_t>(K) * M;
-  BaseTables tables(planes, s);
-  const BaseTables* base = nullptr;
-  if (K >= 2 && T >= kShareMinTasks) {
-    tables.build_eq4(planes);
-    tables.build_improved(planes);
-    base = &tables;
-  }
-  for (std::size_t t0 = 0; t0 < T; t0 += kBatchProbeTileTasks) {
-    const std::size_t tile = std::min(kBatchProbeTileTasks, T - t0);
-    materialize_tile(planes, ts, tasks + t0, tile, s.hrow.data());
-    for (std::size_t i = 0; i < tile; ++i) {
-      const Level jt = ts[tasks[t0 + i]].level();
-      const RowView row(planes, s.hrow.data() + i * row_stride, jt);
-      fits_row<Ops>(planes, row, jt, base, s, basic + (t0 + i) * M,
-                    fits + (t0 + i) * M);
-    }
-  }
-}
-
-void fits_basic_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                   const std::size_t* tasks, std::size_t T,
-                   BatchProbeScratch& s, std::uint8_t* basic) {
-  ensure_scratch(planes, s);
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  const std::size_t row_stride = static_cast<std::size_t>(K) * M;
-  BaseTables tables(planes, s);
-  const BaseTables* base = nullptr;
-  if (K >= 2 && T >= kShareMinTasks) {
-    tables.build_eq4(planes);
-    base = &tables;
-  }
-  for (std::size_t t0 = 0; t0 < T; t0 += kBatchProbeTileTasks) {
-    const std::size_t tile = std::min(kBatchProbeTileTasks, T - t0);
-    materialize_tile(planes, ts, tasks + t0, tile, s.hrow.data());
-    for (std::size_t i = 0; i < tile; ++i) {
-      const Level jt = ts[tasks[t0 + i]].level();
-      const RowView row(planes, s.hrow.data() + i * row_stride, jt);
-      basic_mask(planes, row, jt, base, s, basic + (t0 + i) * M);
-    }
-  }
-}
-
-template <class Ops>
 const KernelTable& table_for(const char* backend) {
-  static const KernelTable t{util_1d<Ops>,  fits_1d<Ops>,  fits_basic_1d,
-                             util_2d<Ops>,  fits_2d<Ops>,  fits_basic_2d,
-                             backend};
+  static const KernelTable t{util_1d<Ops>, fits_1d<Ops>, fits_basic_1d,
+                             util_2d<Ops>, backend};
   return t;
 }
 

@@ -26,10 +26,6 @@ constexpr obs::TraceSite kFitsBasicAllSite{"analysis.probe_fits_basic_all",
                                            "task", "cores"};
 constexpr obs::TraceSite kProbe2dSite{"analysis.probe_all_cores_2d", "tasks",
                                       "cores"};
-constexpr obs::TraceSite kFits2dSite{"analysis.probe_fits_all_2d", "tasks",
-                                     "cores"};
-constexpr obs::TraceSite kFitsBasic2dSite{"analysis.probe_fits_basic_all_2d",
-                                          "tasks", "cores"};
 constexpr obs::TraceSite kCommitSite{"analysis.commit", "task", "core"};
 constexpr obs::TraceSite kUncommitSite{"analysis.uncommit", "task", "core"};
 constexpr obs::TraceSite kRelocateSite{"analysis.relocate", "task", "from",
@@ -193,43 +189,6 @@ void PlacementEngine::probe_all_cores_2d(std::span<const std::size_t> tasks,
     }
   }
   g_probes_infeasible.add(infeasible);
-}
-
-void PlacementEngine::probe_fits_all_2d(std::span<const std::size_t> tasks,
-                                        std::span<unsigned char> out) {
-  const std::size_t cores = num_cores();
-  const std::size_t T = tasks.size();
-  assert(out.size() == T * cores &&
-         "probe_fits_all_2d: out must span tasks x cores");
-  const obs::ScopedSpan span(kFits2dSite, T, cores);
-  probes_ += T * cores;  // one 2-D call == T * num_cores() probes
-  g_probes.add(T * cores);
-  if (batch_basic_.size() < T * cores) batch_basic_.resize(T * cores);
-  batch_fits_2d(partition_->planes(), taskset(), tasks, batch_scratch_,
-                batch_basic_.data(), out.data());
-  // Same counter semantics as T scalar core loops (see probe_fits_all).
-  std::uint64_t basic_accepts = 0;
-  std::uint64_t rejects = 0;
-  for (std::size_t i = 0; i < T * cores; ++i) {
-    basic_accepts += batch_basic_[i] != 0 ? 1u : 0u;
-    rejects += out[i] == 0 ? 1u : 0u;
-  }
-  g_eq4_accepts.add(basic_accepts);
-  g_improved_tests.add(T * cores - basic_accepts);
-  g_probes_infeasible.add(rejects);
-}
-
-void PlacementEngine::probe_fits_basic_all_2d(
-    std::span<const std::size_t> tasks, std::span<unsigned char> out) {
-  const std::size_t cores = num_cores();
-  const std::size_t T = tasks.size();
-  assert(out.size() == T * cores &&
-         "probe_fits_basic_all_2d: out must span tasks x cores");
-  const obs::ScopedSpan span(kFitsBasic2dSite, T, cores);
-  probes_ += T * cores;  // one 2-D call == T * num_cores() probes
-  g_probes.add(T * cores);
-  batch_fits_basic_2d(partition_->planes(), taskset(), tasks, batch_scratch_,
-                      out.data());
 }
 
 void PlacementEngine::commit(std::size_t task, std::size_t core) {

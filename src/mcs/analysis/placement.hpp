@@ -25,13 +25,6 @@
 // The batched probes are in turn bit-identical to the scalar ones (see
 // batch_probe.hpp and the probe-parity fuzz target).
 //
-// Probe accounting: one batched all-cores call counts num_cores() probes —
-// exactly what the scalar core-scan loop it replaces would have counted
-// when every core is probed.  Schemes that used to early-exit a first-fit
-// scan (FFD, Hybrid's FFD phase) therefore report more probes than before;
-// the golden parity file and EXPERIMENTS.md counter panels were regenerated
-// under this rule (partitions themselves are unchanged).
-//
 // Engines are reusable across task sets via reset() — the Monte-Carlo
 // harness keeps one engine per worker chunk so per-trial state (planes and
 // lane scratch included) is recycled instead of reallocated.
@@ -106,7 +99,7 @@ class PlacementEngine {
   /// out.size() must equal num_cores().  Counts num_cores() probes.
   void probe_fits_basic_all(std::size_t task, std::span<unsigned char> out);
 
-  // --- 2-D batched probes (each call counts tasks.size() * num_cores()
+  // --- 2-D batched probe (each call counts tasks.size() * num_cores()
   // probes — the T 1-D scans it replaces, charged up front regardless of
   // how the caller consumes the tile) -------------------------------------
 
@@ -116,14 +109,6 @@ class PlacementEngine {
   /// bit-identical to the 1-D probe_all_cores(tasks[t], ...) row.
   void probe_all_cores_2d(std::span<const std::size_t> tasks,
                           ProbePolicy policy, std::span<ProbeResult> out);
-
-  /// 2-D accept mask: out[t * num_cores() + m] == probe_fits(tasks[t], m).
-  void probe_fits_all_2d(std::span<const std::size_t> tasks,
-                         std::span<unsigned char> out);
-
-  /// 2-D Eq. (4)-only mask.
-  void probe_fits_basic_all_2d(std::span<const std::size_t> tasks,
-                               std::span<unsigned char> out);
 
   /// Counts one probe for schemes whose feasibility test lives outside the
   /// utilization framework (DBF, AMC-rtb response times).

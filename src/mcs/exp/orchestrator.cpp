@@ -171,12 +171,4 @@ std::optional<Artifact> load_artifact(const std::string& path) {
   }
 }
 
-SweepResult artifact_to_sweep_result(const Artifact& artifact) {
-  SweepResult result{.name = artifact.spec, .x_label = artifact.x_label};
-  for (const PointCheckpoint& point : artifact.points) {
-    result.points.push_back(point.result);
-  }
-  return result;
-}
-
 }  // namespace mcs::exp

@@ -90,8 +90,4 @@ struct Artifact {
 /// Parses an artifact file; nullopt when missing or not a v1 artifact.
 [[nodiscard]] std::optional<Artifact> load_artifact(const std::string& path);
 
-/// Rebuilds a renderable SweepResult (report.hpp consumers) from an
-/// artifact.
-[[nodiscard]] SweepResult artifact_to_sweep_result(const Artifact& artifact);
-
 }  // namespace mcs::exp

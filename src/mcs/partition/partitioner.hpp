@@ -11,10 +11,6 @@
 // placement and what selection key it yields) and a selection rule (first
 // feasible vs. minimum key); all probing state lives in an
 // analysis::PlacementEngine.
-//
-// Schemes whose gate has a plane-backed 2-D form ride the lazy-lookahead
-// variant place_in_order_batched_2d(), which makes the same decisions
-// (golden parity + probe-parity fuzz target).
 #pragma once
 
 #include <limits>
@@ -121,106 +117,6 @@ std::optional<std::size_t> place_in_order_batched(
         reduce_core_choice(candidates, feasible, rule, 0.0);
     if (choice.core == kUnassigned) return t;
     place(t, choice);
-  }
-  return std::nullopt;
-}
-
-/// The 2-D (task x core) lookahead variant of place_in_order_batched: gates
-/// a tile of upcoming tasks against every core in ONE 2-D batched probe,
-/// then places the tile's tasks in order, patching staleness lazily.
-///
-/// A tile row is computed against the state at tile entry; a commit inside
-/// the tile only changes the committed core's column.  Because every gate
-/// this skeleton accepts is per-core pure (feasibility of (t, m) depends
-/// only on core m's members and task t), a column that has not been
-/// committed to since the tile gate is still exact, and a "dirty" column is
-/// re-gated per task on demand via `regate` (which performs — and counts —
-/// one fresh single-core probe):
-///
-///   * a dirty column is UNKNOWN (its stale bit is ignored: commits can
-///     flip feasibility either way under Theorem 1, so no monotonicity is
-///     assumed);
-///   * the reduce treats unknowns as potential winners and resolves one
-///     whenever it would win, re-reducing after each resolution — at most
-///     num_cores() resolutions per task;
-///   * kMinKey is a pure smallest-index argmin (reduce_core_choice with
-///     tie_eps == 0), which is insensitive to unknown losers, so the lazy
-///     schedule reproduces reduce_core_choice over fully-fresh rows
-///     decision-for-decision.  (A tie_eps > 0 would make the reference
-///     scan order-dependent; schemes that need one, like CA-TPA, call
-///     reduce_core_choice themselves.)
-///
-/// `keys(t, candidates)` must fill fresh selection keys (they are
-/// maintained by the caller, outside the probes, so they are never stale);
-/// `gate_tile(tasks, rows)` writes the task-major tile feasibility mask
-/// (tasks.size() rows of num_cores bytes) with one 2-D engine probe.
-/// Probe accounting: the tile gate charges tasks x cores up front (see
-/// PlacementEngine::probe_fits_all_2d) and each resolution charges one
-/// probe, so probe counts differ from the 1-D skeleton's; partitions do
-/// not.
-template <typename GateTileFn, typename RegateFn, typename KeysFn,
-          typename PlaceFn>
-std::optional<std::size_t> place_in_order_batched_2d(
-    std::span<const std::size_t> order, std::size_t num_cores,
-    SelectionRule rule, GateTileFn&& gate_tile, RegateFn&& regate,
-    KeysFn&& keys, PlaceFn&& place) {
-  constexpr std::size_t kTile = analysis::kBatchProbeTileTasks;
-  std::vector<Candidate> candidates(num_cores);
-  std::vector<unsigned char> rows(kTile * num_cores, 0);
-  std::vector<unsigned char> dirty(num_cores, 0);
-  // Per-task column state: 0 = infeasible, 1 = feasible (both fresh),
-  // 2 = unknown (dirty since the tile gate, not yet re-gated for this task).
-  std::vector<unsigned char> status(num_cores, 0);
-
-  for (std::size_t t0 = 0; t0 < order.size(); t0 += kTile) {
-    const std::size_t tile = std::min(kTile, order.size() - t0);
-    gate_tile(order.subspan(t0, tile),
-              std::span<unsigned char>(rows.data(), tile * num_cores));
-    std::fill(dirty.begin(), dirty.end(), 0);
-    for (std::size_t i = 0; i < tile; ++i) {
-      const std::size_t t = order[t0 + i];
-      const unsigned char* row = rows.data() + i * num_cores;
-      keys(t, std::span<Candidate>(candidates));
-      for (std::size_t m = 0; m < num_cores; ++m) {
-        status[m] = dirty[m] ? 2 : (row[m] != 0 ? 1 : 0);
-      }
-      CoreChoice choice;
-      if (rule == SelectionRule::kFirstFeasible) {
-        // Resolve unknowns in index order: the first fresh-feasible column
-        // with no unresolved smaller index is exactly the reference winner.
-        for (std::size_t m = 0; m < num_cores; ++m) {
-          if (status[m] == 2) status[m] = regate(t, m) ? 1 : 0;
-          if (status[m] == 1) {
-            choice = CoreChoice{m, candidates[m].key, candidates[m].payload};
-            break;
-          }
-        }
-      } else {
-        // Smallest-index argmin over fresh-feasible + unknown columns;
-        // accept a fresh winner, resolve an unknown one and re-reduce.
-        for (;;) {
-          std::size_t win = kUnassigned;
-          double win_key = std::numeric_limits<double>::infinity();
-          for (std::size_t m = 0; m < num_cores; ++m) {
-            if (status[m] == 0) continue;
-            if (candidates[m].key < win_key) {
-              win = m;
-              win_key = candidates[m].key;
-            }
-          }
-          if (win == kUnassigned) break;
-          if (status[win] == 1) {
-            choice = CoreChoice{win, candidates[win].key,
-                                candidates[win].payload};
-            break;
-          }
-          status[win] = regate(t, win) ? 1 : 0;
-        }
-      }
-      if (choice.core == kUnassigned) return t;
-      place(t, choice);
-      dirty[choice.core] = 1;
-    }
   }
   return std::nullopt;
 }

@@ -23,6 +23,7 @@
 //   * kGe      ["UD-TPA/ge"]   — the credited demand-bound test of
 //                                analysis/ge_test.hpp (dual-criticality
 //                                only; scalar per-core probes).
+// Whatever the gate, each task tried counts num_cores() probes.
 #pragma once
 
 #include "mcs/partition/partitioner.hpp"

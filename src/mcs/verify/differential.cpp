@@ -687,7 +687,6 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
   std::vector<analysis::ProbeResult> batched2d;
   std::vector<double> util2d;
   std::vector<double> util2d_scalar;
-  std::vector<unsigned char> mask2d;
   const auto compare_tile = [&]() -> CheckResult {
     const std::size_t T =
         rng.uniform_int(1, std::min<std::size_t>(ts.size(), 17));
@@ -696,7 +695,6 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
       tile_tasks.push_back(rng.uniform_int(0, ts.size() - 1));
     }
     batched2d.resize(T * num_cores);
-    mask2d.resize(T * num_cores);
     const analysis::ProbePolicy policies[] = {
         analysis::ProbePolicy::kFirstFeasible,
         analysis::ProbePolicy::kMinOverFeasible,
@@ -726,45 +724,6 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
                << ", " << got.new_util << ", " << got.increment
                << "} vs scalar {" << scalar.feasible << ", "
                << scalar.new_util << ", " << scalar.increment << "}";
-            return fail(os.str());
-          }
-        }
-      }
-    }
-    {
-      const std::size_t before = engine.probes();
-      engine.probe_fits_all_2d(tile_tasks,
-                               std::span<unsigned char>(mask2d));
-      if (engine.probes() != before + T * num_cores) {
-        return fail("probe_fits_all_2d accounting: expected T x cores");
-      }
-      for (std::size_t i = 0; i < T; ++i) {
-        for (std::size_t m = 0; m < num_cores; ++m) {
-          if ((mask2d[i * num_cores + m] != 0) !=
-              engine.probe_fits(tile_tasks[i], m)) {
-            std::ostringstream os;
-            os << "probe_fits_all_2d: row " << i << " (task " << tile_tasks[i]
-               << ") core " << m << " disagrees with scalar";
-            return fail(os.str());
-          }
-        }
-      }
-    }
-    {
-      const std::size_t before = engine.probes();
-      engine.probe_fits_basic_all_2d(tile_tasks,
-                                     std::span<unsigned char>(mask2d));
-      if (engine.probes() != before + T * num_cores) {
-        return fail("probe_fits_basic_all_2d accounting: expected T x cores");
-      }
-      for (std::size_t i = 0; i < T; ++i) {
-        for (std::size_t m = 0; m < num_cores; ++m) {
-          if ((mask2d[i * num_cores + m] != 0) !=
-              engine.probe_fits_basic(tile_tasks[i], m)) {
-            std::ostringstream os;
-            os << "probe_fits_basic_all_2d: row " << i << " (task "
-               << tile_tasks[i] << ") core " << m
-               << " disagrees with scalar";
             return fail(os.str());
           }
         }

@@ -1,9 +1,9 @@
 // Property test for the 2-D (task x core) batched probe API: across a grid
 // of K in {1, 2, 4} x M in {1, 2, 4, 8, 64} x T in {1, 3, 8, 17}, every row
-// of probe_all_cores_2d / probe_fits_all_2d / probe_fits_basic_all_2d must
-// be BITWISE identical to the 1-D batched call for the same task — and, via
-// the 1-D suite's own parity contract, to M scalar probes — on empty,
-// partially filled and churned (commit/relocate interleaved) engine states.
+// of probe_all_cores_2d must be BITWISE identical to the 1-D batched call
+// for the same task — and, via the 1-D suite's own parity contract, to M
+// scalar probes — on empty, partially filled and churned (commit/relocate
+// interleaved) engine states.
 // T in {1, 3, 17} exercises tile-remainder paths (kBatchProbeTileTasks = 8)
 // and M in {1, 2} exercises the SIMD remainder lanes (AVX2 width 4, SSE2
 // width 2).  Each 2-D call must advance probes() by exactly T x num_cores()
@@ -39,8 +39,6 @@ void expect_2d_matches_1d(PlacementEngine& engine,
   const std::size_t T = tasks.size();
   std::vector<ProbeResult> grid(T * cores);
   std::vector<ProbeResult> row(cores);
-  std::vector<unsigned char> grid_mask(T * cores, 0);
-  std::vector<unsigned char> row_mask(cores, 0);
 
   const ProbePolicy policies[] = {ProbePolicy::kFirstFeasible,
                                   ProbePolicy::kMinOverFeasible,
@@ -63,33 +61,6 @@ void expect_2d_matches_1d(PlacementEngine& engine,
         ASSERT_TRUE(bits_equal(row[m].increment, got.increment))
             << when << ": increment " << got.increment << " vs 1-D "
             << row[m].increment << " (row " << i << " core " << m << ")";
-      }
-    }
-  }
-
-  {
-    const std::size_t before = engine.probes();
-    engine.probe_fits_all_2d(tasks, grid_mask);
-    ASSERT_EQ(engine.probes(), before + T * cores)
-        << when << ": probe_fits_all_2d accounting";
-    for (std::size_t i = 0; i < T; ++i) {
-      engine.probe_fits_all(tasks[i], row_mask);
-      for (std::size_t m = 0; m < cores; ++m) {
-        ASSERT_EQ(grid_mask[i * cores + m] != 0, row_mask[m] != 0)
-            << when << ": accept mask, row " << i << " core " << m;
-      }
-    }
-  }
-  {
-    const std::size_t before = engine.probes();
-    engine.probe_fits_basic_all_2d(tasks, grid_mask);
-    ASSERT_EQ(engine.probes(), before + T * cores)
-        << when << ": probe_fits_basic_all_2d accounting";
-    for (std::size_t i = 0; i < T; ++i) {
-      engine.probe_fits_basic_all(tasks[i], row_mask);
-      for (std::size_t m = 0; m < cores; ++m) {
-        ASSERT_EQ(grid_mask[i * cores + m] != 0, row_mask[m] != 0)
-            << when << ": Eq. (4) mask, row " << i << " core " << m;
       }
     }
   }

@@ -79,17 +79,6 @@ TEST(SchemeRoundTripTest, EveryRegisteredSpecSurvivesRunAndArtifact) {
       EXPECT_EQ(point.result.schemes[s].trials, options.trials);
     }
   }
-
-  // And the renderable view preserves the same names, so docs panels label
-  // their columns with registry strings.
-  const SweepResult rendered = artifact_to_sweep_result(*artifact);
-  ASSERT_EQ(rendered.points.size(), spec.values.size());
-  for (const PointResult& point : rendered.points) {
-    ASSERT_EQ(point.schemes.size(), specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      EXPECT_EQ(point.schemes[s].scheme, specs[s]);
-    }
-  }
 }
 
 }  // namespace

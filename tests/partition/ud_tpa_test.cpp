@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mcs/analysis/ge_test.hpp"
 #include "mcs/gen/taskset_generator.hpp"
@@ -80,6 +81,39 @@ TEST(UdTpaTest, GeGateAcceptsAreReDerivable) {
     }
   }
   EXPECT_GT(accepted, 0u) << "grid never produced an accepted partition";
+}
+
+// Every gate charges num_cores() probes for each task it tries: the tasks
+// it placed, plus the one it failed on.
+TEST(UdTpaTest, ChargesOneProbePerCorePerTriedTask) {
+  struct Case {
+    UdGate gate;
+    Level levels;
+  };
+  const Case cases[] = {{UdGate::kTheorem1, 2}, {UdGate::kTheorem1, 4},
+                        {UdGate::kEq4, 2},      {UdGate::kEq4, 4},
+                        {UdGate::kGe, 2}};
+  constexpr std::size_t kCores = 4;
+  for (const Case& c : cases) {
+    for (const bool fits : {true, false}) {
+      gen::GenParams params;
+      params.num_levels = c.levels;
+      params.num_cores = kCores;
+      params.num_tasks = 24;
+      params.nsu = fits ? 0.4 : 1.0;
+      const TaskSet ts = gen::generate_trial(params, 7, 0);
+      const UdTpaPartitioner scheme(c.gate);
+      const PartitionResult r = scheme.run(ts, kCores);
+      const std::string where =
+          scheme.name() + " K=" + std::to_string(c.levels);
+      ASSERT_EQ(r.success, fits) << where;
+      std::size_t placed = 0;
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        if (r.partition.core_of(i) != kUnassigned) ++placed;
+      }
+      EXPECT_EQ(r.probes, kCores * (placed + (r.success ? 0 : 1))) << where;
+    }
+  }
 }
 
 // The stronger gate never loses to the weaker ones on the same ordering:

@@ -62,16 +62,13 @@ theta
 mu/fold init
 Eq. (4) sum
 K == 1 utilization
-base Eq. (4)
 base numerator
 base theta
 numerator resume
 numerator extend
 theta re-term
 theta resume
-theta extend
-Eq. (4) resume
-Eq. (4) extend"
+theta extend"
 
 # Labels that only clear the vectorizer cost model with AVX2 (mask-byte
 # stores and mixed double/uint8 writebacks stay scalar under bare SSE2).

@@ -116,6 +116,13 @@ class CarriedDemand {
     return open;
   }
 
+  /// Starts a resumed scan from `steps`, the summed cost of the deadline
+  /// steps fired before its start, formed in `ops` roundings.
+  void reseed(double steps, double ops) {
+    steps_ = steps;
+    fired_ = ops;
+  }
+
   [[nodiscard]] double estimate(double t) const {
     if constexpr (F == Formula::kStep) return steps_;
     return steps_ - (ramp_sum_ - ramps_ * t);
@@ -134,7 +141,7 @@ class CarriedDemand {
 
  private:
   double steps_ = 0.0;     // summed cost of the fired deadline steps
-  double fired_ = 0.0;     // additions to steps_
+  double fired_ = 0.0;     // roundings in steps_
   double ramps_ = 0.0;     // open credit ramps
   double ramp_sum_ = 0.0;  // their summed credit + start
   double ramp_ops_ = 0.0;  // summed |ramp_sum_| since ramps_ was last 0
@@ -142,11 +149,39 @@ class CarriedDemand {
   std::vector<double> ramp_of_;
 };
 
+/// The exact summed demand at t: curve_demand over the curves in order.
+template <Formula F>
+double exact_sum(std::span<const Curve> curves, double t) {
+  double demand = 0.0;
+  for (const Curve& c : curves) demand += curve_demand<F>(c, t);
+  return demand;
+}
+
+/// Whether a filtered scan of `curves` may resume at `from`: the guard of
+/// the file comment's resume argument.  The moved curve's period keeps its
+/// job count from going negative, and under kCredited there are no kink
+/// lanes and its cost exceeds the most the -max(0, -r) term subtracts.
+template <Formula F>
+bool resumable(std::span<const Curve> curves, const ScanResume& from) {
+  if (!(from.t >= 0.0) || from.moved >= curves.size()) return false;
+  const Curve& moved = curves[from.moved];
+  if (!(moved.period >= 4.0 * (1e-9 + kRoundoff * from.t))) return false;
+  if constexpr (F == Formula::kCredited) {
+    for (const Curve& c : curves) {
+      if (c.credit != 0.0) return false;
+    }
+    return moved.cost >= 2.0 * (1e-9 * moved.period +
+                                4.0 * kRoundoff * (from.t + moved.period));
+  }
+  return true;
+}
+
 }  // namespace
 
 template <Formula F>
 std::optional<double> first_violation(std::span<const Curve> curves,
-                                      double bound) {
+                                      double bound,
+                                      std::optional<ScanResume> resume) {
   // Breakpoints stream in ascending order through a min-heap with a step
   // lane and, under kCredited, a kink lane per curve, so the scan stops at
   // the first violation without sorting the whole list: rejections, the
@@ -159,30 +194,13 @@ std::optional<double> first_violation(std::span<const Curve> curves,
   bool filtered = true;
   double min_period = kInf;
   double max_period = 0.0;
-  double dropped = kInf;  // the least lane value past `reach`
-  std::vector<Lane> heap;
-  heap.reserve(curves.size() * 2);
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    const Curve& c = curves[i];
+  for (const Curve& c : curves) {
     filtered = filtered && c.cost > 0.0 && c.cost < kInf && c.d0 >= 0.0 &&
                c.d0 < kInf && c.period > 0.0 && c.period < kInf &&
                (!kCredited || (c.credit >= 0.0 && c.credit < c.period));
     if (c.cost <= 0.0) continue;
     min_period = std::min(min_period, c.period);
     max_period = std::max(max_period, c.period);
-    const auto curve = static_cast<std::uint32_t>(i);
-    if (c.d0 <= reach) {
-      heap.push_back({c.d0, curve, 0});
-    } else {
-      dropped = std::min(dropped, c.d0);
-    }
-    if (kCredited && c.credit > 0.0) {
-      if (c.d0 + c.credit <= reach) {
-        heap.push_back({c.d0 + c.credit, curve, kKink});
-      } else {
-        dropped = std::min(dropped, c.d0 + c.credit);
-      }
-    }
   }
   // Every lane value, credit and period the filter meets is below `span`,
   // and no lane fires more than `lane_steps` times.
@@ -199,9 +217,57 @@ std::optional<double> first_violation(std::span<const Curve> curves,
                 : 0.0;
   CarriedDemand<F> carried(curves.size());
 
+  std::vector<Lane> heap;
+  heap.reserve(curves.size() * 2);
+  double dropped = kInf;  // the least lane value past `reach`
+  double last = -1.0;     // the previous distinct breakpoint
+  const auto add_lane = [&](double next, std::size_t curve,
+                            std::uint32_t jobs) {
+    if (next <= reach) {
+      heap.push_back({next, static_cast<std::uint32_t>(curve), jobs});
+    } else {
+      dropped = std::min(dropped, next);
+    }
+  };
+  if (resume && filtered && resumable<F>(curves, *resume)) {
+    // Every lane from its first value at or after the start, as the full
+    // scan's additions leave it; below the start only the moved curve's
+    // breakpoints are judged, by the exact sum.  The guard checks each
+    // lane's last firing, all the window argument uses of it.
+    const double start = resume->t;
+    double steps = 0.0;
+    for (std::size_t i = 0; i < curves.size(); ++i) {
+      const Curve& c = curves[i];
+      double fired = -1.0;
+      double next = c.d0;
+      std::uint32_t jobs = 0;
+      for (; next < start && next <= reach; next += c.period) {
+        if (i == resume->moved && exact_sum<F>(curves, next) > next + 1e-9) {
+          return next;
+        }
+        fired = next;
+        ++jobs;
+      }
+      if (jobs > 0) {
+        last = std::max(last, fired);
+        filtered = filtered && std::floor((fired - c.d0) / c.period + 1e-9) ==
+                                   static_cast<double>(jobs - 1);
+      }
+      steps += static_cast<double>(jobs) * c.cost;
+      add_lane(next, i, jobs);
+    }
+    carried.reseed(steps, 2.0 * n);  // n products and n additions
+  } else {
+    for (std::size_t i = 0; i < curves.size(); ++i) {
+      const Curve& c = curves[i];
+      if (c.cost <= 0.0) continue;
+      add_lane(c.d0, i, 0);
+      if (kCredited && c.credit > 0.0) add_lane(c.d0 + c.credit, i, kKink);
+    }
+  }
+
   std::make_heap(heap.begin(), heap.end(),
                  [](const Lane& a, const Lane& b) { return a.next > b.next; });
-  double last = -1.0;
   while (!heap.empty()) {
     const double t = heap.front().next;
     do {  // fire every lane at t before t is judged
@@ -235,9 +301,7 @@ std::optional<double> first_violation(std::span<const Curve> curves,
       if (margin > error) return t;
       if (-margin > error) continue;
     }
-    double demand = 0.0;
-    for (const Curve& c : curves) demand += curve_demand<F>(c, t);
-    if (demand > t + 1e-9) return t;
+    if (exact_sum<F>(curves, t) > t + 1e-9) return t;
   }
   return std::nullopt;
 }
@@ -260,26 +324,61 @@ std::vector<double> scale_candidates(const TaskSet& ts,
   return candidates;
 }
 
-/// Whether one uniform candidate passes: both bounds, then the scan of
-/// `first_scan`, then the other.  A rejection by the other scan makes it
-/// `first_scan` for the next candidate.
+/// Why a uniform candidate failed: the mode (0 = LO, 1 = HI) and its
+/// scan's first violation, or nullopt where its bound failed.
+struct Failure {
+  std::size_t mode;
+  std::optional<double> t;
+};
+
+/// Judges one uniform candidate: both bounds, then the scan of
+/// `first_scan`, then the other; nullopt when it passes.  A rejection by
+/// the other scan makes it `first_scan` for the next candidate.
 template <Formula F>
-bool passes(const ModeCurves& curves, std::size_t& first_scan) {
+std::optional<Failure> failure(const ModeCurves& curves,
+                               std::size_t& first_scan) {
   std::array<double, 2> bounds{};
   for (std::size_t mode = 0; mode < 2; ++mode) {
     const std::optional<double> bound = analysis_bound(curves[mode]);
-    if (!bound) return false;  // conservative
+    if (!bound) return Failure{mode, std::nullopt};  // conservative
     bounds[mode] = *bound;
   }
   for (const std::size_t mode : {first_scan, 1 - first_scan}) {
-    if (bounds[mode] > 0.0 &&
-        first_violation<F>(curves[mode], bounds[mode]).has_value()) {
+    if (bounds[mode] <= 0.0) continue;
+    if (const auto t = first_violation<F>(curves[mode], bounds[mode])) {
       first_scan = mode;
-      return false;
+      return Failure{mode, t};
     }
   }
-  return true;
+  return std::nullopt;
 }
+
+/// The certificate of a scan exit: whether the exact sum at the largest
+/// breakpoint of `curves` at or below t exceeds it, so that a scan of
+/// `curves` that reaches t violates.
+template <Formula F>
+bool violates_by(std::span<const Curve> curves, double t) {
+  double largest = -1.0;
+  for (const Curve& c : curves) {
+    if (c.cost <= 0.0) continue;
+    for (double lane = c.d0; lane <= t; lane += c.period) {
+      largest = std::max(largest, lane);
+    }
+    if (F == Formula::kCredited && c.credit > 0.0) {
+      for (double lane = c.d0 + c.credit; lane <= t; lane += c.period) {
+        largest = std::max(largest, lane);
+      }
+    }
+  }
+  return largest >= 0.0 && exact_sum<F>(curves, largest) > largest + 1e-9;
+}
+
+/// The largest candidate whose LO check failed or the smallest whose HI
+/// check failed, with its failure.
+struct Settled {
+  double x;
+  std::optional<double> t;  ///< the scan's first violation; nullopt: bound
+};
 
 }  // namespace
 
@@ -289,19 +388,36 @@ std::optional<double> uniform_scale(const TaskSet& ts,
   std::vector<double> scales(members.size());
   ModeCurves curves;
   std::size_t first_scan = 1;  // 0 = LO, 1 = HI; see the file comment
+  // Monotone exits (see the file comment): LO demand only falls as x
+  // rises and HI demand only rises, so a candidate at or below `lo`, or at
+  // or above `hi`, fails as that one did.
+  std::optional<Settled> lo;
+  std::optional<Settled> hi;
   for (const double x : scale_candidates(ts, members)) {
     if (x <= 0.0 || x > 1.0) continue;
+    const bool below_lo = lo && x <= lo->x;
+    const bool above_hi = hi && x >= hi->x;
+    if ((below_lo && !lo->t) || (above_hi && !hi->t)) continue;
     std::fill(scales.begin(), scales.end(), x);
     build_curves(ts, members, scales, curves);
-    if (passes<F>(curves, first_scan)) return x;
+    if ((below_lo && violates_by<F>(curves[0], *lo->t)) ||
+        (above_hi && violates_by<F>(curves[1], *hi->t))) {
+      continue;
+    }
+    const std::optional<Failure> failed = failure<F>(curves, first_scan);
+    if (!failed) return x;
+    std::optional<Settled>& side = failed->mode == 0 ? lo : hi;
+    if (!side || (failed->mode == 0 ? x > side->x : x < side->x)) {
+      side = Settled{x, failed->t};
+    }
   }
   return std::nullopt;
 }
 
 template std::optional<double> first_violation<Formula::kStep>(
-    std::span<const Curve>, double);
+    std::span<const Curve>, double, std::optional<ScanResume>);
 template std::optional<double> first_violation<Formula::kCredited>(
-    std::span<const Curve>, double);
+    std::span<const Curve>, double, std::optional<ScanResume>);
 template std::optional<double> uniform_scale<Formula::kStep>(
     const TaskSet&, std::span<const std::size_t>);
 template std::optional<double> uniform_scale<Formula::kCredited>(

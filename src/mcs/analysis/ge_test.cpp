@@ -15,19 +15,21 @@ using demand::Curve;
 /// The credited curves, in the demand, both tiers and ge_dbf_hi alike.
 constexpr demand::Formula kFormula = demand::Formula::kCredited;
 
-/// Evaluates both demand tests with per-member scales, LO before HI.  On
-/// failure returns (mode, t): mode 0 = LO-test violation, 1 = HI-test
-/// violation.
+/// Evaluates both demand tests with per-member scales, LO before HI, the LO
+/// scan resumed at `lo_resume`.  On failure returns (mode, t): mode 0 =
+/// LO-test violation, 1 = HI-test violation.
 std::optional<std::pair<std::size_t, double>> ge_violation(
     const TaskSet& ts, std::span<const std::size_t> members,
-    std::span<const double> scales, demand::ModeCurves& curves) {
+    std::span<const double> scales,
+    std::optional<demand::ScanResume> lo_resume, demand::ModeCurves& curves) {
   demand::build_curves(ts, members, scales, curves);
   for (std::size_t mode = 0; mode < 2; ++mode) {
     const std::optional<double> bound = demand::analysis_bound(curves[mode]);
     if (!bound) return std::make_pair(mode, 0.0);  // conservative
     if (*bound > 0.0) {
       if (const auto t = demand::first_violation<kFormula>(
-              curves[mode], *bound)) {
+              curves[mode], *bound,
+              mode == 0 ? lo_resume : std::nullopt)) {
         return std::make_pair(mode, *t);
       }
     }
@@ -92,8 +94,12 @@ GeResult ge_dual_test(const TaskSet& ts,
   // The move taken last and the scale it moved from; see the cycle exit.
   std::size_t last_moved = members.size();
   double last_prior = 0.0;
+  // After an LO move the LO scan resumes at the last LO violation: the
+  // move only put one LO deadline later (see demand_core.hpp).
+  std::optional<demand::ScanResume> lo_resume;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
-    const auto violation = ge_violation(ts, members, scales, curves);
+    const auto violation =
+        ge_violation(ts, members, scales, lo_resume, curves);
     if (!violation) return accept(ts, members, scales);
     const auto [mode, t] = *violation;
     // Pick the HI member contributing the most demand at the violation
@@ -122,6 +128,8 @@ GeResult ge_dual_test(const TaskSet& ts,
     if (best == members.size() || best_demand <= 0.0) return result;  // stuck
     const double prior = scales[best];
     scales[best] += mode == 0 ? step : -step;
+    lo_resume = mode == 0 ? std::optional(demand::ScanResume{t, best})
+                          : std::nullopt;
     // Cycle exit.  A move that takes the last-moved scale back to the exact
     // double it held before that move restores the state of two iterations
     // ago.  The step is a pure function of the scales and both states of

@@ -39,7 +39,9 @@
 //      form): grow the worst LO-mode offender's scale on an LO violation,
 //      shrink the worst HI-mode offender's on a HI violation, accept only
 //      when both demand tests pass (sound by construction), at most 48
-//      iterations.
+//      iterations.  An LO move only puts one LO deadline later, so the
+//      next LO scan resumes at the violation that caused it
+//      (demand_core.hpp, Resumed scan); HI scans run in full.
 //
 // Tier 2 keeps LO before HI, because the (mode, t) of the first violation
 // picks the next move.  Each move is a pure function of the scales and

@@ -1,11 +1,14 @@
 // Bit-for-bit parity of the demand gates against test-only reference copies
-// (demand_reference.*) that run every iteration and scan LO before HI.  The
-// library gates stop as soon as their verdict is decided; these tests pin
-// that the early exits never change a verdict or a single bit of a scale.
+// (demand_reference.*) that judge every candidate, run every iteration, scan
+// LO before HI and start every scan at t = 0.  The library gates stop as
+// soon as their verdict is decided, skip candidates a monotone exit settles
+// and resume LO scans after LO moves; these tests pin that none of this
+// changes a verdict or a single bit of a scale.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <iostream>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -80,6 +83,8 @@ TEST(DemandParityTest, RandomSubsetsMatchTheReferenceBitForBit) {
   std::size_t cap_rejects = 0;    // tuning tier ran to its cap
   std::size_t ping_pongs = 0;     // ... and undid a move on the way
   std::size_t tuned_accepts = 0;  // tuning tier accepted after >= 2 moves
+  reference::UniformTier exits;   // summed over both gates
+  std::size_t resumable_scans = 0;
   gen::Rng rng(20160816);
   std::vector<std::size_t> pool;
   std::vector<std::size_t> members;
@@ -109,11 +114,14 @@ TEST(DemandParityTest, RandomSubsetsMatchTheReferenceBitForBit) {
         ++calls;
 
         reference::GeTuning tuning;
+        reference::UniformTier ge_exits;
         const GeResult want_ge =
-            reference::ge_dual_test(ts, members, &tuning);
+            reference::ge_dual_test(ts, members, &tuning, &ge_exits);
         ASSERT_TRUE(same_ge(ge_dual_test(ts, members), want_ge))
             << describe(ts, members);
-        const DbfResult want_dbf = reference::dbf_dual_test(ts, members);
+        reference::UniformTier dbf_exits;
+        const DbfResult want_dbf =
+            reference::dbf_dual_test(ts, members, &dbf_exits);
         ASSERT_TRUE(same_dbf(dbf_dual_test(ts, members), want_dbf))
             << describe(ts, members);
 
@@ -124,16 +132,25 @@ TEST(DemandParityTest, RandomSubsetsMatchTheReferenceBitForBit) {
         tuned_accepts +=
             tuning.entered && want_ge.schedulable && tuning.moves >= 2 ? 1u
                                                                        : 0u;
+        exits.lo_exits += ge_exits.lo_exits + dbf_exits.lo_exits;
+        exits.hi_exits += ge_exits.hi_exits + dbf_exits.hi_exits;
+        resumable_scans += tuning.lo_scans_after_lo_move;
       }
     }
   }
-  // The grid must reach both exits and both verdicts, or the parity above
-  // proves nothing about them.
+  // The grid must reach every exit, both verdicts and resumed LO scans, or
+  // the parity above proves nothing about them.
   EXPECT_GT(ge_accepts, calls / 10) << calls << " calls";
   EXPECT_LT(ge_accepts, calls - calls / 10) << calls << " calls";
   EXPECT_GT(dbf_accepts, calls / 10) << calls << " calls";
   EXPECT_GT(ping_pongs, 0u) << cap_rejects << " cap rejections";
   EXPECT_GT(tuned_accepts, 0u);
+  EXPECT_GT(exits.lo_exits, 0u);
+  EXPECT_GT(exits.hi_exits, 0u);
+  EXPECT_GT(resumable_scans, 0u);
+  std::cout << calls << " calls, " << exits.lo_exits << " LO-exit and "
+            << exits.hi_exits << " HI-exit candidates, " << resumable_scans
+            << " LO scans after an LO move\n";
 }
 
 std::vector<std::size_t> all_of(const TaskSet& ts) {
@@ -193,6 +210,31 @@ TEST(DemandParityTest, TuningTierAcceptanceKeepsItsScales) {
   EXPECT_EQ(want.scales,
             (std::vector<double>{1.0, 0.5, 0x1.3333333333334p-1, 1.0}));
   EXPECT_TRUE(same_ge(ge_dual_test(ts, members), want));
+}
+
+// Two one-core sets where a check fails by its busy-period bound at one
+// candidate and a candidate on the other side of it passes.  The bound
+// failure settles every candidate beyond it for free, so an exit that
+// looked the wrong way would reject both sets.
+TEST(DemandParityTest, MonotoneExitsSettleOnlyTheirOwnSide) {
+  // U_HI = 0.9995: the HI bound exceeds the horizon at x = 1, the first
+  // candidate, and GE passes at the EDF-VD factor 0.04.
+  const TaskSet hi_bound_fails_at_one({McTask(0, {4.0, 99.95}, 100.0)}, 2);
+  // U_LO = 0.9995: the LO bound exceeds the horizon at 1 - U_2(2) = 0.4995,
+  // the second candidate, and GE passes at the EDF-VD factor 0.999001.
+  const TaskSet lo_bound_fails_below(
+      {McTask(0, {500.0, 500.5}, 1000.0), McTask(1, {0.999}, 2.0)}, 2);
+  for (const TaskSet* ts : {&hi_bound_fails_at_one, &lo_bound_fails_below}) {
+    const std::vector<std::size_t> members = all_of(*ts);
+    const GeResult want = reference::ge_dual_test(*ts, members);
+    ASSERT_TRUE(want.schedulable) << describe(*ts, members);
+    EXPECT_LT(want.scales[0], 1.0);
+    EXPECT_TRUE(same_ge(ge_dual_test(*ts, members), want))
+        << describe(*ts, members);
+    EXPECT_TRUE(same_dbf(dbf_dual_test(*ts, members),
+                         reference::dbf_dual_test(*ts, members)))
+        << describe(*ts, members);
+  }
 }
 
 }  // namespace

@@ -139,9 +139,10 @@ void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
   }
 }
 
+/// Counts into `lo_scans` when the LO scan runs.
 std::optional<std::pair<int, double>> ge_violation(
     const TaskSet& ts, std::span<const std::size_t> members,
-    std::span<const double> scales) {
+    std::span<const double> scales, std::size_t* lo_scans = nullptr) {
   std::vector<Curve> lo_curves;
   std::vector<Curve> hi_curves;
   build_curves(ts, members, scales, lo_curves, hi_curves);
@@ -152,6 +153,7 @@ std::optional<std::pair<int, double>> ge_violation(
       return std::make_pair(mode, 0.0);
     }
     if (*bound > 0.0) {
+      if (mode == 0 && lo_scans != nullptr) ++*lo_scans;
       if (const auto t =
               reference::first_violation<Formula::kCredited>(
                   *curves, *bound)) {
@@ -163,13 +165,45 @@ std::optional<std::pair<int, double>> ge_violation(
   return std::nullopt;
 }
 
-bool test_with_uniform(const TaskSet& ts, std::span<const std::size_t> members,
-                       double x, std::vector<double>& scales) {
+/// The mode whose check failed at uniform scale x (0 = LO, 1 = HI), or
+/// nullopt when both pass.
+std::optional<int> uniform_violation(const TaskSet& ts,
+                                     std::span<const std::size_t> members,
+                                     double x, std::vector<double>& scales) {
   for (std::size_t m = 0; m < members.size(); ++m) {
     scales[m] = ts[members[m]].level() == 2 ? x : 1.0;
   }
-  return !ge_violation(ts, members, scales).has_value();
+  const auto violation = ge_violation(ts, members, scales);
+  if (!violation) return std::nullopt;
+  return violation->first;
 }
+
+/// Counts the candidates a monotone exit covers (see UniformTier).
+class ExitCounter {
+ public:
+  explicit ExitCounter(UniformTier* uniform) : uniform_(uniform) {}
+
+  /// Counts candidate x before it is judged.
+  void judge(double x) const {
+    if (uniform_ == nullptr) return;
+    uniform_->lo_exits += x <= lo_failed_ ? 1u : 0u;
+    uniform_->hi_exits += x >= hi_failed_ ? 1u : 0u;
+  }
+
+  /// Records that candidate x failed in `mode`.
+  void failed(double x, int mode) {
+    if (mode == 0) {
+      lo_failed_ = std::max(lo_failed_, x);
+    } else {
+      hi_failed_ = std::min(hi_failed_, x);
+    }
+  }
+
+ private:
+  UniformTier* uniform_;
+  double lo_failed_ = -1.0;
+  double hi_failed_ = 2.0;
+};
 
 GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
                 std::span<const double> scales) {
@@ -185,10 +219,11 @@ GeResult accept(const TaskSet& ts, std::span<const std::size_t> members,
 }  // namespace
 
 GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
-                      GeTuning* tuning) {
+                      GeTuning* tuning, UniformTier* uniform) {
   GeTuning local;
   GeTuning& trace = tuning != nullptr ? *tuning : local;
   trace = GeTuning{};
+  if (uniform != nullptr) *uniform = UniformTier{};
   if (ts.num_levels() != 2) {
     throw std::invalid_argument(
         "ge_dual_test: requires a dual-criticality task set");
@@ -211,11 +246,13 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
                          static_cast<double>(kScaleGrid));
   }
   std::vector<double> scales(members.size(), 1.0);
+  ExitCounter exits(uniform);
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_uniform(ts, members, x, scales)) {
-      return accept(ts, members, scales);
-    }
+    exits.judge(x);
+    const std::optional<int> mode = uniform_violation(ts, members, x, scales);
+    if (!mode) return accept(ts, members, scales);
+    exits.failed(x, *mode);
   }
 
   const double step = 1.0 / static_cast<double>(kScaleGrid);
@@ -231,8 +268,11 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
 
   std::size_t last_moved = members.size();
   double last_prior = 0.0;
+  bool after_lo_move = false;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
-    const auto violation = ge_violation(ts, members, scales);
+    const auto violation = ge_violation(
+        ts, members, scales,
+        after_lo_move ? &trace.lo_scans_after_lo_move : nullptr);
     if (!violation) return accept(ts, members, scales);
     const auto [mode, t] = *violation;
     std::size_t best = members.size();
@@ -259,6 +299,7 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
     if (best == members.size() || best_demand <= 0.0) return result;
     const double prior = scales[best];
     scales[best] += mode == 0 ? step : -step;
+    after_lo_move = mode == 0;
     ++trace.moves;
     if (best == last_moved && scales[best] == last_prior) {
       trace.undid_move = true;
@@ -276,8 +317,11 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
 
 namespace {
 
-bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
-                     double x) {
+/// The mode whose check failed at scale x (0 = LO, 1 = HI), or nullopt
+/// when both pass.
+std::optional<int> violation_at_scale(const TaskSet& ts,
+                                      std::span<const std::size_t> members,
+                                      double x) {
   std::vector<Curve> lo_curves;
   std::vector<Curve> hi_curves;
   for (std::size_t i : members) {
@@ -290,26 +334,30 @@ bool test_with_scale(const TaskSet& ts, std::span<const std::size_t> members,
       lo_curves.push_back({period, period, task.wcet(1)});
     }
   }
+  int mode = 0;
   for (const auto* curves : {&lo_curves, &hi_curves}) {
     const std::optional<double> bound = analysis_bound(*curves);
-    if (!bound) return false;
-    if (*bound > kHorizonCap) return false;
+    if (!bound) return mode;
+    if (*bound > kHorizonCap) return mode;
     if (*bound > 0.0 &&
         reference::first_violation<Formula::kStep>(*curves, *bound)) {
-      return false;
+      return mode;
     }
+    ++mode;
   }
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace
 
 DbfResult dbf_dual_test(const TaskSet& ts,
-                        std::span<const std::size_t> members) {
+                        std::span<const std::size_t> members,
+                        UniformTier* uniform) {
   if (ts.num_levels() != 2) {
     throw std::invalid_argument(
         "dbf_dual_test: requires a dual-criticality task set");
   }
+  if (uniform != nullptr) *uniform = UniformTier{};
   if (members.empty()) return DbfResult{.schedulable = true, .scale = 1.0};
 
   UtilMatrix u(2);
@@ -322,11 +370,13 @@ DbfResult dbf_dual_test(const TaskSet& ts,
     candidates.push_back(static_cast<double>(g) /
                          static_cast<double>(kScaleGrid));
   }
+  ExitCounter exits(uniform);
   for (double x : candidates) {
     if (x <= 0.0 || x > 1.0) continue;
-    if (test_with_scale(ts, members, x)) {
-      return DbfResult{.schedulable = true, .scale = x};
-    }
+    exits.judge(x);
+    const std::optional<int> mode = violation_at_scale(ts, members, x);
+    if (!mode) return DbfResult{.schedulable = true, .scale = x};
+    exits.failed(x, *mode);
   }
   return DbfResult{};
 }

@@ -1,7 +1,8 @@
 // Test-only reference copies of the dual-criticality demand gates as they
 // were before the gates learned to stop once their verdict is decided: the
-// GE tuning tier runs every iteration up to its cap, and the uniform-scale
-// tiers scan LO before HI.  Both run on a copy of the demand scan as it was
+// GE tuning tier runs every iteration up to its cap, the uniform-scale
+// tiers judge every candidate and scan LO before HI, and every scan starts
+// at t = 0.  Both run on a copy of the demand scan as it was
 // before it carried the demand between breakpoints: the exact sum of every
 // curve at every distinct breakpoint.  They exist only to be diffed against
 // analysis::ge_dual_test / analysis::dbf_dual_test and
@@ -34,6 +35,16 @@ template <demand::Formula F>
     std::span<const demand::Curve> curves, double bound,
     ScanStats* stats = nullptr);
 
+/// What the uniform-scale tier (tier 1) saw on one call: candidates that a
+/// monotone exit covers.  Both counts use the failures this LO-before-HI
+/// copy observed.
+struct UniformTier {
+  /// Candidates at or below an earlier one whose LO check failed.
+  std::size_t lo_exits = 0;
+  /// Candidates at or above an earlier one whose HI check failed.
+  std::size_t hi_exits = 0;
+};
+
 /// What the GE tuning tier (tier 2) did on one call.
 struct GeTuning {
   bool entered = false;   ///< tier 1 rejected every uniform candidate
@@ -42,13 +53,17 @@ struct GeTuning {
   /// Some move took the previously moved scale back to the exact double it
   /// held before that move (the greedy walk revisited a state).
   bool undid_move = false;
+  /// LO scans run right after an LO move, which the library resumes.
+  std::size_t lo_scans_after_lo_move = 0;
 };
 
 [[nodiscard]] GeResult ge_dual_test(const TaskSet& ts,
                                     std::span<const std::size_t> members,
-                                    GeTuning* tuning = nullptr);
+                                    GeTuning* tuning = nullptr,
+                                    UniformTier* uniform = nullptr);
 
 [[nodiscard]] DbfResult dbf_dual_test(const TaskSet& ts,
-                                      std::span<const std::size_t> members);
+                                      std::span<const std::size_t> members,
+                                      UniformTier* uniform = nullptr);
 
 }  // namespace mcs::analysis::reference

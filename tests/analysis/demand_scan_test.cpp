@@ -180,15 +180,12 @@ std::vector<double> breakpoints(const CurveSet& set) {
   return out;
 }
 
-/// Rescales the costs of a random set so that the exact demand touches
-/// t + 1e-9 at the breakpoint where it comes closest, then nudges the scale
-/// by a few ulps either way.  Demand is linear in a common cost scale:
+/// Rescales the costs of `set` so that the exact demand touches t + 1e-9
+/// at the breakpoint where it comes closest, then nudges the scale by a few
+/// ulps either way.  Demand is linear in a common cost scale:
 /// sum(scale * jobs * cost) minus the credit terms, which do not scale.
 template <Formula F>
-CurveSet near_tie(gen::Rng& rng) {
-  CurveSet set = rng.uniform(0.0, 1.0) < 0.5 ? commensurate(rng)
-                                               : decimal(rng);
-  if (rng.uniform(0.0, 1.0) < 0.3) set = short_period(rng);
+CurveSet tie_at_closest(CurveSet set, gen::Rng& rng) {
   std::vector<Curve> credits_only = set.curves;
   for (Curve& c : credits_only) c.cost = 0.0;
   double scale = std::numeric_limits<double>::infinity();
@@ -211,6 +208,15 @@ CurveSet near_tie(gen::Rng& rng) {
       0x1p-52;
   for (Curve& c : set.curves) c.cost *= scale * (1.0 + nudge);
   return set;
+}
+
+/// A random set whose exact demand ties t + 1e-9 (see tie_at_closest).
+template <Formula F>
+CurveSet near_tie(gen::Rng& rng) {
+  CurveSet set = rng.uniform(0.0, 1.0) < 0.5 ? commensurate(rng)
+                                               : decimal(rng);
+  if (rng.uniform(0.0, 1.0) < 0.3) set = short_period(rng);
+  return tie_at_closest<F>(std::move(set), rng);
 }
 
 /// Member subsets of generated dual-criticality sets at random scales, both
@@ -370,6 +376,130 @@ TEST(DemandScanTest, ToleranceEdgesTakeTheExactSum) {
   EXPECT_EQ(reference::first_violation<Formula::kStep>(past_bound.curves,
                                                        past_bound.bound),
             5.0);
+}
+
+CurveSet without_credits(CurveSet set) {
+  for (Curve& c : set.curves) c.credit = 0.0;
+  return set;
+}
+
+/// A set with one curve to move (see ResumedScanReturnsTheFullScansTime).
+struct MovedSet {
+  CurveSet set;
+  std::size_t moved = 0;
+};
+
+/// Curve 1 steps a twentieth of its period before curve 0, and the move
+/// puts its step within 1e-9 below curve 0's, at `tie` - delta, where the
+/// floor formula already counts curve 0's job.  The summed demand ties
+/// t + 1e-9 at `tie`, so before the move every breakpoint up to curve 2's
+/// step at `late` passes, and after it, under kStep, the moved step's new
+/// breakpoint violates: the resumed scan finds it only by judging the
+/// moved curve's breakpoints below its start.
+MovedSet lands_below_a_tie(gen::Rng& rng) {
+  const double tie = rng.uniform(1.0, 100.0);
+  const double period = 20.0 * rng.uniform(0.05, 0.5) * tie;
+  const double d0 = tie - rng.uniform(1e-11, 9e-10) - period / 20.0;
+  const double late = tie + rng.uniform(0.1, 0.9) * (d0 + period - tie);
+  const double moved_cost = rng.uniform(0.1, 0.9) * d0;
+  const double target = tie + 1e-9;
+  double cost = target - moved_cost;
+  while (cost + moved_cost > target) cost = std::nextafter(cost, 0.0);
+  return {{{{tie, 1000.0, cost, 0.0},
+            {d0, period, moved_cost, 0.0},
+            {late, 1000.0, late, 0.0}},
+           late + 1.0},
+          1};
+}
+
+enum ResumeCase : std::size_t {
+  kBelowStart,      // violation at a moved breakpoint below the start
+  kAtOrAfterStart,  // violation at or after the start
+  kPassed,          // no violation after the move
+  kCostGuard,       // the moved curve's cost is below the guard: full scan
+  kResumeCases
+};
+constexpr std::array<const char*, kResumeCases> kResumeCaseNames{
+    "below start", "at or after start", "pass", "cost guard"};
+
+/// Scans `moved.set` in full; if it violates at t_v, moves the chosen
+/// curve's d0 later by a twentieth of its period, as a tuning move does,
+/// and compares the scan resumed at t_v with a fresh full scan.  A quarter
+/// of the moved scans also get a shorter bound, as an LO move's lower
+/// busy-period bound gives them.
+template <Formula F>
+::testing::AssertionResult same_resumed_scan(
+    MovedSet moved, gen::Rng& rng,
+    std::array<std::size_t, kResumeCases>& reached) {
+  CurveSet& set = moved.set;
+  const std::optional<double> start =
+      demand::first_violation<F>(set.curves, set.bound);
+  if (!start) return ::testing::AssertionSuccess();
+  Curve& c = set.curves[moved.moved];
+  c.d0 += c.period / 20.0;
+  if (rng.uniform(0.0, 1.0) < 0.25) set.bound *= rng.uniform(0.5, 1.0);
+  const std::optional<double> want =
+      demand::first_violation<F>(set.curves, set.bound);
+  const std::optional<double> got = demand::first_violation<F>(
+      set.curves, set.bound, demand::ScanResume{*start, moved.moved});
+  const bool guarded = F == Formula::kCredited && c.cost < 2e-9 * c.period;
+  reached[guarded ? kCostGuard
+          : !want ? kPassed
+          : *want < *start ? kBelowStart
+                           : kAtOrAfterStart] += 1;
+  const auto bits = [](const std::optional<double>& t) {
+    return t ? std::bit_cast<std::uint64_t>(*t) : std::uint64_t{0};
+  };
+  if (want.has_value() == got.has_value() && bits(want) == bits(got)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::hexfloat << (F == Formula::kStep ? "kStep" : "kCredited")
+         << " resumed at " << *start << " moving curve " << moved.moved
+         << ": got " << (got ? *got : -1.0) << " vs full scan "
+         << (want ? *want : -1.0) << ' ' << describe(set);
+}
+
+TEST(DemandScanTest, ResumedScanReturnsTheFullScansTime) {
+  std::array<std::size_t, kResumeCases> reached{};
+  gen::Rng rng(20260311);
+  // Zero-credit sets with a random curve to move; one in ten gets a moved
+  // cost below the kCredited guard (1e-10 of its period).
+  const auto pick = [&](CurveSet set) {
+    MovedSet moved{without_credits(std::move(set)), 0};
+    moved.moved = rng.uniform_int(0, moved.set.curves.size() - 1);
+    if (rng.uniform(0.0, 1.0) < 0.1) {
+      Curve& c = moved.set.curves[moved.moved];
+      c.cost = 1e-10 * c.period;
+    }
+    return moved;
+  };
+  const auto check = [&](const MovedSet& moved) {
+    EXPECT_TRUE(same_resumed_scan<Formula::kStep>(moved, rng, reached));
+    EXPECT_TRUE(same_resumed_scan<Formula::kCredited>(moved, rng, reached));
+    return !::testing::Test::HasFailure();
+  };
+  for (std::uint64_t draw = 0; draw < 1500; ++draw) {
+    for (CurveSet& set : generated(rng, draw)) {
+      if (!check(pick(std::move(set)))) return;
+    }
+  }
+  for (int i = 0; i < 4000; ++i) {
+    if (!check(pick(commensurate(rng))) || !check(pick(decimal(rng))) ||
+        !check(pick(short_period(rng))) ||
+        !check(pick(tie_at_closest<Formula::kStep>(
+            without_credits(decimal(rng)), rng))) ||
+        !check(lands_below_a_tie(rng))) {
+      return;
+    }
+  }
+  for (std::size_t k = 0; k < kResumeCases; ++k) {
+    EXPECT_GT(reached[k], 0u) << kResumeCaseNames[k];
+  }
+  std::cout << reached[kBelowStart] << " below the start, "
+            << reached[kAtOrAfterStart] << " at or after it, "
+            << reached[kPassed] << " passes, " << reached[kCostGuard]
+            << " under the cost guard\n";
 }
 
 }  // namespace

@@ -106,8 +106,8 @@ def main():
     if problems:
         print(f"{len(problems)} stale artifact(s); regenerate with "
               "`mcs_exp --figure all --trials 2000 --seed 1 --out artifacts "
-              "--commit $(git rev-parse --short HEAD)`, then `mcs_report` "
-              "and `mcs_report --doc ALGORITHMS.md`")
+              "--commit \"$(git describe --always --dirty)\"`, then "
+              "`mcs_report` and `mcs_report --doc ALGORITHMS.md`")
         return 1
     print(f"all {len(sweep_artifacts(args.committed))} sweep artifacts fresh")
     return 0

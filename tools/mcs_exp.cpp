@@ -5,7 +5,7 @@
 // checkpointing and versioned artifact output:
 //
 //   $ mcs_exp --figure fig1 --trials 2000 --seed 1
-//   $ mcs_exp --figure all --out artifacts --commit $(git rev-parse --short HEAD)
+//   $ mcs_exp --figure all --out artifacts --commit "$(git describe --always --dirty)"
 //   $ mcs_exp --figure fig3,a1 --trials 500
 //
 // Each run writes <out>/<spec>.json (exact, bit-reproducible aggregates +

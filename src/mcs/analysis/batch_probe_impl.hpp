@@ -514,8 +514,9 @@ void run_improved(const LevelUtilPlanes& planes, const RowView& row, Level jt,
 }
 
 /// Eq. (4) left-hand side with the task added: sum_k row(k, k), ascending —
-/// the same accumulation order as UtilMatrix::own_level_sum.
-void basic_mask(const LevelUtilPlanes& planes, const RowView& row,
+/// the same accumulation order as UtilMatrix::own_level_sum.  Returns true
+/// when every lane passes.
+bool basic_mask(const LevelUtilPlanes& planes, const RowView& row,
                 BatchProbeScratch& s, std::uint8_t* __restrict out) {
   const Level K = planes.num_levels();
   const std::size_t M = planes.num_cores();
@@ -527,9 +528,13 @@ void basic_mask(const LevelUtilPlanes& planes, const RowView& row,
       total[m] += diag[m];
     }
   }
+  std::uint8_t all = 1;
   for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) mask
-    out[m] = static_cast<std::uint8_t>(total[m] <= 1.0 ? 1 : 0);
+    const auto pass = static_cast<std::uint8_t>(total[m] <= 1.0 ? 1 : 0);
+    out[m] = pass;
+    all &= pass;
   }
+  return all != 0;
 }
 
 /// The post-pass shared by the 1-D and 2-D utilization kernels: one task's
@@ -562,16 +567,20 @@ void utilization_row(const LevelUtilPlanes& planes, const RowView& row,
   }
 }
 
-/// The fits post-pass: basic + (K >= 2) improved accept masks of one task.
+/// The fits post-pass: the basic mask, plus (K >= 2, some lane rejected by
+/// Eq. (4)) the improved accept mask of one task.
 template <class Ops>
 void fits_row(const LevelUtilPlanes& planes, const RowView& row, Level jt,
               BatchProbeScratch& s, std::uint8_t* __restrict basic,
               std::uint8_t* __restrict fits) {
   const Level K = planes.num_levels();
   const std::size_t M = planes.num_cores();
-  basic_mask(planes, row, s, basic);
-  if (K == 1) {
-    // Eq. (4) and the improved test coincide at K == 1 (plain EDF).
+  const bool all_basic = basic_mask(planes, row, s, basic);
+  // Eq. (4) and the improved test coincide at K == 1 (plain EDF).  Where
+  // Eq. (4) accepts every lane, the scalar rule (Theorem 1 only after an
+  // Eq. (4) reject) applies to the whole call: an accepted lane ORs to 1
+  // whatever Theorem 1 says, so the pass is skipped.
+  if (K == 1 || all_basic) {
     std::copy(basic, basic + M, fits);
     return;
   }

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "mcs/analysis/edfvd.hpp"
+#include "mcs/core/contributions.hpp"
 #include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 
@@ -59,6 +60,24 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
   max_util_ = 0.0;
   min_util_ = 0.0;
   minmax_valid_ = true;
+}
+
+std::span<const std::size_t> PlacementEngine::CachedOrder::of(
+    const TaskSet& ts,
+    void (*sort)(const TaskSet&, std::vector<std::size_t>&)) {
+  if (serial != ts.serial()) {
+    sort(ts, order);
+    serial = ts.serial();
+  }
+  return order;
+}
+
+std::span<const std::size_t> PlacementEngine::max_utilization_order() {
+  return max_util_order_.of(taskset(), order_by_max_utilization);
+}
+
+std::span<const std::size_t> PlacementEngine::contribution_order() {
+  return contribution_order_.of(taskset(), order_by_contribution);
 }
 
 const UtilMatrix& PlacementEngine::with_task(std::size_t task,

@@ -17,7 +17,10 @@
 //     scalar reference probes, plus the batched kernel's lane scratch,
 //   * cached core utilizations U^{Psi_m} with running min/max trackers for
 //     the Lambda imbalance check (Sec. III-C),
-//   * the unified probe counter every scheme reports.
+//   * the unified probe counter every scheme reports,
+//   * the two task orders the schemes place in (maximum utilization and
+//     CA-TPA contribution), each sorted once per task set and shared by
+//     every scheme run on that set.
 //
 // Probes evaluate exactly the same arithmetic as the historical free
 // functions (fits / fits_basic_only / probe_assignment), so partitioning
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,7 +55,9 @@ class PlacementEngine {
   }
 
   /// Rebinds to a task set / core count: clears the partition, cached
-  /// utilizations and the probe counter, reusing all buffers.
+  /// utilizations and the probe counter, reusing all buffers.  The task
+  /// orders are kept: they are re-sorted only once a set with another
+  /// serial asks for them.
   void reset(const TaskSet& ts, std::size_t num_cores);
 
   [[nodiscard]] bool bound() const noexcept { return partition_.has_value(); }
@@ -66,6 +72,20 @@ class PlacementEngine {
   /// Moves the partition out (for callers that outlive the engine).  The
   /// engine must be reset() before further use.
   [[nodiscard]] Partition take_partition() && { return *std::move(partition_); }
+
+  // --- Task orders (sorted once per task set) -----------------------------
+
+  /// The bound set's task indices by decreasing maximum utilization, ties
+  /// to the higher level, then the smaller index (order_by_max_utilization).
+  /// Sorted on the first call for a set's TaskSet::serial() and returned
+  /// as-is until a set with another serial is bound, so every scheme run
+  /// on one trial shares one sort.  The span stays valid until the next
+  /// call that sorts again.
+  [[nodiscard]] std::span<const std::size_t> max_utilization_order();
+
+  /// The CA-TPA contribution order (order_by_contribution), cached the
+  /// same way.
+  [[nodiscard]] std::span<const std::size_t> contribution_order();
 
   // --- Probes (each call counts one probe toward probes()) ---------------
 
@@ -155,7 +175,24 @@ class PlacementEngine {
   [[nodiscard]] const UtilMatrix& with_task(std::size_t task,
                                             std::size_t core);
 
+  /// One cached order: the serial of the set it was sorted for (0 = none;
+  /// serials start at 1) and its buffer, whose capacity outlives the set.
+  /// Keyed on the serial, not the set's address: a recycled trial shell
+  /// keeps its address across trials.
+  struct CachedOrder {
+    std::uint64_t serial = 0;
+    std::vector<std::size_t> order;
+
+    /// The order of `ts`, sorted by `sort` into the buffer unless it
+    /// already holds the order of ts's serial.
+    std::span<const std::size_t> of(
+        const TaskSet& ts,
+        void (*sort)(const TaskSet&, std::vector<std::size_t>&));
+  };
+
   std::optional<Partition> partition_;
+  CachedOrder max_util_order_;
+  CachedOrder contribution_order_;
   BatchProbeScratch batch_scratch_;
   std::vector<double> batch_util_;  ///< batched new-utilization lane buffer
   std::vector<unsigned char> batch_basic_;  ///< batched Eq. (4) mask buffer

@@ -37,33 +37,45 @@ std::vector<Contribution> utilization_contributions(const TaskSet& ts) {
 
 namespace {
 
-/// Sorts indices by a (key, level, index) triple: larger key first, then
-/// higher criticality level, then smaller index.
-std::vector<std::size_t> order_by_key(const TaskSet& ts,
-                                      const std::vector<double>& key) {
-  std::vector<std::size_t> idx(ts.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+/// Sorts indices by a (key, level, index) triple into `out`: larger key
+/// first, then higher criticality level, then smaller index.
+void order_by_key(const TaskSet& ts, const std::vector<double>& key,
+                  std::vector<std::size_t>& out) {
+  out.resize(ts.size());
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
     if (key[a] != key[b]) return key[a] > key[b];
     if (ts[a].level() != ts[b].level()) return ts[a].level() > ts[b].level();
     return a < b;
   });
-  return idx;
 }
 
 }  // namespace
 
-std::vector<std::size_t> order_by_contribution(const TaskSet& ts) {
+void order_by_contribution(const TaskSet& ts, std::vector<std::size_t>& out) {
   const std::vector<Contribution> contribs = utilization_contributions(ts);
   std::vector<double> key(ts.size());
   for (const Contribution& c : contribs) key[c.task_index] = c.value;
-  return order_by_key(ts, key);
+  order_by_key(ts, key, out);
+}
+
+void order_by_max_utilization(const TaskSet& ts,
+                              std::vector<std::size_t>& out) {
+  std::vector<double> key(ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) key[i] = ts[i].max_utilization();
+  order_by_key(ts, key, out);
+}
+
+std::vector<std::size_t> order_by_contribution(const TaskSet& ts) {
+  std::vector<std::size_t> out;
+  order_by_contribution(ts, out);
+  return out;
 }
 
 std::vector<std::size_t> order_by_max_utilization(const TaskSet& ts) {
-  std::vector<double> key(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) key[i] = ts[i].max_utilization();
-  return order_by_key(ts, key);
+  std::vector<std::size_t> out;
+  order_by_max_utilization(ts, out);
+  return out;
 }
 
 }  // namespace mcs

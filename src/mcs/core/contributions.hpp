@@ -44,4 +44,10 @@ struct Contribution {
 [[nodiscard]] std::vector<std::size_t> order_by_max_utilization(
     const TaskSet& ts);
 
+/// The same two orders written into `out`, reusing its capacity (the
+/// placement engine keeps one buffer per order across task sets).
+void order_by_contribution(const TaskSet& ts, std::vector<std::size_t>& out);
+void order_by_max_utilization(const TaskSet& ts,
+                              std::vector<std::size_t>& out);
+
 }  // namespace mcs

@@ -1,8 +1,19 @@
 #include "mcs/core/taskset.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 namespace mcs {
+
+namespace {
+// Serials only need to be distinct, not ordered across threads, so a
+// relaxed increment suffices for the sweep workers that share it.
+std::atomic<std::uint64_t> g_next_serial{1};
+
+std::uint64_t next_serial() noexcept {
+  return g_next_serial.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
 
 UtilMatrix::UtilMatrix(Level num_levels) : levels_(num_levels) {
   if (num_levels < 1) {
@@ -77,7 +88,10 @@ double UtilMatrix::own_level_sum() const {
 }
 
 TaskSet::TaskSet(std::vector<McTask> tasks, Level num_levels)
-    : tasks_(std::move(tasks)), levels_(num_levels), utils_(num_levels) {
+    : tasks_(std::move(tasks)),
+      levels_(num_levels),
+      utils_(num_levels),
+      serial_(next_serial()) {
   if (tasks_.empty()) {
     throw std::invalid_argument("TaskSet: must contain at least one task");
   }
@@ -92,6 +106,7 @@ void TaskSet::assign(std::vector<McTask> tasks, Level num_levels) {
   }
   tasks_ = std::move(tasks);
   levels_ = num_levels;
+  serial_ = next_serial();
   utils_.reset(num_levels);
   for (const McTask& t : tasks_) {
     utils_.add(t);  // throws if t.level() > num_levels

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -84,7 +85,7 @@ class TaskSet {
   /// Rebuilds the set in place from a fresh task vector — same validation
   /// as the constructor, but the utilization matrix storage is recycled
   /// (UtilMatrix::reset), so the steady state of a trial loop allocates
-  /// nothing beyond what `tasks` itself carries.
+  /// nothing beyond what `tasks` itself carries.  Takes a new serial().
   void assign(std::vector<McTask> tasks, Level num_levels);
 
   /// Moves the task vector out for shell recycling, leaving the set EMPTY —
@@ -117,10 +118,18 @@ class TaskSet {
   /// by the workload generator's NSU normalization.
   [[nodiscard]] double raw_level1_util() const;
 
+  /// A process-unique stamp of this set's contents: drawn from one counter
+  /// at construction and at every assign(), kept by copies.  Two sets with
+  /// the same serial hold the same tasks, whatever their addresses (a
+  /// recycled trial shell keeps its address but not its serial), so
+  /// per-set results such as the placement engine's task orders key on it.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
  private:
   std::vector<McTask> tasks_;
   Level levels_;
   UtilMatrix utils_;
+  std::uint64_t serial_;
 };
 
 }  // namespace mcs

@@ -96,9 +96,9 @@ PlacementOutcome CaTpaPartitioner::run_on(
   const TaskSet& ts = engine.taskset();
   const std::size_t num_cores = engine.num_cores();
   const obs::ScopedSpan span(kPlaceSite, ts.size(), num_cores);
-  const std::vector<std::size_t> order = options_.order_by_contribution
-                                             ? order_by_contribution(ts)
-                                             : order_by_max_utilization(ts);
+  const std::span<const std::size_t> order =
+      options_.order_by_contribution ? engine.contribution_order()
+                                     : engine.max_utilization_order();
 
   std::vector<analysis::ProbeResult> probes(num_cores);
   std::vector<analysis::ProbeResult> repair_probes;  // victims x cores tile

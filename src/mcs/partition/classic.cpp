@@ -44,10 +44,9 @@ PlacementOutcome ClassicPartitioner::run_on(
     analysis::PlacementEngine& engine) const {
   const obs::ScopedSpan span(kPlaceSite, engine.taskset().size(),
                              engine.num_cores());
-  const std::vector<std::size_t> order =
-      order_by_max_utilization(engine.taskset());
   PlacementOutcome outcome;
-  outcome.failed_task = allocate_with_rule(engine, order, rule_, strength_);
+  outcome.failed_task = allocate_with_rule(
+      engine, engine.max_utilization_order(), rule_, strength_);
   outcome.success = !outcome.failed_task.has_value();
   return outcome;
 }

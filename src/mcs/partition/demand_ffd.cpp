@@ -5,7 +5,6 @@
 
 #include "mcs/analysis/dbf.hpp"
 #include "mcs/analysis/ge_test.hpp"
-#include "mcs/core/contributions.hpp"
 #include "mcs/obs/trace.hpp"
 
 namespace mcs::partition {
@@ -42,7 +41,7 @@ PlacementOutcome DemandFfdPartitioner::run_on(
   // First feasible core wins, so the fill probes cores in index order and
   // stops there; later cores are never probed (or counted).
   outcome.failed_task = place_in_order_batched(
-      order_by_max_utilization(ts), engine.num_cores(),
+      engine.max_utilization_order(), engine.num_cores(),
       SelectionRule::kFirstFeasible,
       [&](std::size_t t, std::span<Candidate> /*candidates*/,
           std::span<unsigned char> feasible) {

@@ -1,7 +1,5 @@
 #include "mcs/partition/hybrid.hpp"
 
-#include <algorithm>
-
 #include "mcs/obs/trace.hpp"
 #include "mcs/partition/classic.hpp"
 
@@ -16,26 +14,24 @@ PlacementOutcome HybridPartitioner::run_on(
   const TaskSet& ts = engine.taskset();
   const obs::ScopedSpan span(kPlaceSite, ts.size(), engine.num_cores());
 
-  std::vector<std::size_t> high;
+  // Both groups are read off the engine's shared max-utilization order
+  // (u descending, then level descending, then index ascending).  The
+  // level-1 tasks keep it as is: u descending, then index ascending.  The
+  // high group takes the levels from the highest down and keeps the order
+  // within a level: level descending, then u descending, then index
+  // ascending.
+  const std::span<const std::size_t> order = engine.max_utilization_order();
   std::vector<std::size_t> low;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    (ts[i].level() >= 2 ? high : low).push_back(i);
+  for (const std::size_t t : order) {
+    if (ts[t].level() == 1) low.push_back(t);
   }
-  auto by_level_then_util = [&](std::size_t a, std::size_t b) {
-    if (ts[a].level() != ts[b].level()) return ts[a].level() > ts[b].level();
-    if (ts[a].max_utilization() != ts[b].max_utilization()) {
-      return ts[a].max_utilization() > ts[b].max_utilization();
+  std::vector<std::size_t> high;
+  high.reserve(order.size() - low.size());
+  for (Level level = ts.num_levels(); level >= 2; --level) {
+    for (const std::size_t t : order) {
+      if (ts[t].level() == level) high.push_back(t);
     }
-    return a < b;
-  };
-  auto by_util = [&](std::size_t a, std::size_t b) {
-    if (ts[a].max_utilization() != ts[b].max_utilization()) {
-      return ts[a].max_utilization() > ts[b].max_utilization();
-    }
-    return a < b;
-  };
-  std::sort(high.begin(), high.end(), by_level_then_util);
-  std::sort(low.begin(), low.end(), by_util);
+  }
 
   PlacementOutcome outcome;
   outcome.failed_task = allocate_with_rule(engine, high, FitRule::kWorst);

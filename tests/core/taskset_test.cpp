@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace mcs {
@@ -101,6 +102,28 @@ TEST(TaskSetTest, RejectsTaskAboveSystemLevels) {
   std::vector<McTask> tasks;
   tasks.emplace_back(0, std::vector<double>{1.0, 2.0, 3.0}, 10.0);
   EXPECT_THROW(TaskSet(std::move(tasks), 2), std::invalid_argument);
+}
+
+TEST(TaskSetTest, EachConstructionTakesANewSerial) {
+  const TaskSet a = make_set();
+  const TaskSet b = make_set();  // same tasks, still a new serial
+  EXPECT_NE(a.serial(), b.serial());
+}
+
+TEST(TaskSetTest, AssignTakesANewSerial) {
+  TaskSet ts = make_set();
+  const std::uint64_t before = ts.serial();
+  ts.assign(make_set().tasks(), 3);  // same tasks, still a new serial
+  EXPECT_NE(ts.serial(), before);
+}
+
+TEST(TaskSetTest, CopiesKeepTheSerial) {
+  const TaskSet original = make_set();
+  const TaskSet copy(original);
+  EXPECT_EQ(copy.serial(), original.serial());
+  TaskSet assigned = make_set();
+  assigned = original;
+  EXPECT_EQ(assigned.serial(), original.serial());
 }
 
 TEST(TaskSetTest, IterationVisitsAllTasks) {

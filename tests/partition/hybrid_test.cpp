@@ -40,6 +40,36 @@ TEST(HybridTest, HighGroupOrderedByLevelThenUtilization) {
   EXPECT_EQ(r.partition.core_of(1), 1u);
 }
 
+TEST(HybridTest, ExactUtilizationTiesBreakByLevelThenIndex) {
+  // K=3, M=3.  Every WCET vector is flat, so Theorem 1 rejects exactly
+  // where Eq. (4) does, and u = 0.3 is the same double at levels 1, 2 and
+  // 3 and at several indices.
+  std::vector<McTask> tasks;
+  tasks.emplace_back(0, std::vector<double>{30.0, 30.0}, 100.0);        // L2
+  tasks.emplace_back(1, std::vector<double>{30.0, 30.0, 30.0}, 100.0);  // L3
+  tasks.emplace_back(2, std::vector<double>{30.0, 30.0}, 100.0);        // L2
+  tasks.emplace_back(3, std::vector<double>{20.0, 20.0, 20.0}, 100.0);  // L3
+  tasks.emplace_back(4, std::vector<double>{40.0, 40.0}, 100.0);        // L2
+  tasks.emplace_back(5, std::vector<double>{30.0}, 100.0);              // L1
+  tasks.emplace_back(6, std::vector<double>{5.0}, 100.0);               // L1
+  tasks.emplace_back(7, std::vector<double>{30.0}, 100.0);              // L1
+  tasks.emplace_back(8, std::vector<double>{30.0}, 100.0);              // L1
+  const TaskSet ts(std::move(tasks), 3);
+  const PartitionResult r = HybridPartitioner().run(ts, 3);
+  ASSERT_TRUE(r.success);
+  // High group, WFD: tau_1, tau_3 (L3), then tau_4, tau_0, tau_2 (L2; the
+  // tied tau_0 and tau_2 by index).  Loads go [.3 0 0] -> [.3 .2 0] ->
+  // [.3 .2 .4] -> [.3 .5 .4] -> [.6 .5 .4].
+  // Low group, FFD: tau_5, tau_7, tau_8 (tied, by index), then tau_6.
+  // tau_5 fills core 0 to .9; tau_7 no longer fits there and fills core 1
+  // to .8; tau_8 fits neither and lands on core 2; tau_6 (.05) still fits
+  // on core 0.
+  const std::size_t expected[] = {1, 0, 0, 1, 2, 0, 0, 1, 2};
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(r.partition.core_of(i), expected[i]) << "task " << i;
+  }
+}
+
 TEST(HybridTest, ReducesToWfdWhenAllTasksAreHigh) {
   std::vector<McTask> tasks;
   for (std::size_t i = 0; i < 4; ++i) {

@@ -15,10 +15,10 @@
 // PlacementEngine::probe calls per task; the batched side one
 // probe_all_cores call per task; the 2-D side ONE probe_all_cores_2d call
 // over the whole probe list per sweep — the partitioner-scan shape, where
-// the kernel tiles tasks (kBatchProbeTileTasks-major) and shares each
-// level's hypothetical-row materialization across the tile.  All sides
-// fold the same checksum over the results in the same (task, core) order,
-// so the work cannot be optimized away and any divergence is caught.
+// the kernel runs two tasks per lane-pack step and pays its per-call
+// set-up once.  All sides fold the same checksum over the results in the
+// same (task, core) order, so the work cannot be optimized away and any
+// divergence is caught.
 //
 // Before timing, every probed task is checked bit-identical between the
 // scalar and batched paths (feasible flag, new_util, increment, both

@@ -1,10 +1,9 @@
 // Baseline-ISA instantiation of the batched probe kernels, plus the public
 // API and the runtime backend dispatcher.
 //
-// Kept in its own translation unit so the build can compile it with
-// vectorization reporting (-fopt-info-vec / -Rpass=loop-vectorize) and CI
-// can grep that the lane loops vectorized (tools/check_vectorization.sh);
-// the kernel bodies live in batch_probe_impl.hpp, shared with the
+// Kept in its own translation unit so tools/check_vectorization.sh can
+// compile it alone and check that the lane-pack passes emit packed SSE2
+// code; the kernel bodies live in batch_probe_impl.hpp, shared with the
 // -mavx2-compiled batch_probe_avx2.cpp.
 //
 // Dispatch: the active KernelTable starts as the widest backend usable on
@@ -48,28 +47,11 @@ const KernelTable*& active_table() noexcept {
 }  // namespace
 }  // namespace batch_kernel
 
-void BatchProbeScratch::resize(Level num_levels, std::size_t num_cores) {
+void BatchProbeScratch::resize(Level num_levels) {
   levels = num_levels;
-  cores = num_cores;
   const std::size_t K = num_levels;
-  const std::size_t planes_km1 = K > 0 ? (K - 1) * cores : 0;
-  hrow.assign(kBatchProbeTileTasks * K * cores, 0.0);
-  lambda.assign(planes_km1, 0.0);  // row 0 (lambda_1 = 0) stays zero forever
-  theta.assign(planes_km1, 0.0);
-  acc.assign(cores, 0.0);
-  prod.assign(cores, 0.0);
-  min_term.assign(cores, 0.0);
-  mu.assign(cores, 0.0);
-  best.assign(cores, 0.0);
-  first_avail.assign(cores, 0.0);
-  valid.assign(cores, 0.0);
-  sched.assign(cores, 0.0);
-  found.assign(cores, 0.0);
-  base_num.assign((K + 1) * (K + 1) * cores, 0.0);
-  base_suffix.assign((K + 1) * cores, 0.0);
-  base_theta.assign(planes_km1, 0.0);
-  base_min_term.assign(cores, 0.0);
-  th_rows.assign(K > 0 ? K - 1 : 0, nullptr);
+  tu.assign(2 * K, 0.0);
+  theta.assign(K > 0 ? (K - 1) * kStepLanes : 0, 0.0);
 }
 
 const char* batch_probe_backend() noexcept {

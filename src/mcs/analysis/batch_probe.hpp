@@ -1,43 +1,38 @@
 // Batched probe kernels over struct-of-arrays planes: 1-D (one task, all
-// cores) and 2-D (a tile of tasks x all cores).
+// cores) and 2-D (a list of tasks x all cores).
 //
 // 1-D: evaluates "what if task tau_i joined core m" for every core m in one
-// pass: the hypothetical task row is materialized once (H(k) = plane(l_t, k)
-// + u_t(k)), and the Theorem-1 / Eq. (4) arithmetic runs as a sequence of
-// loops over the core lane (the innermost dimension):
-//
-//   * no per-core virtual calls or matrix copies,
-//   * per-level branches (which row feeds a term, which policy folds) are
-//     hoisted out of the lane loop,
-//   * data-dependent scalar `break`s (invalid lambda_j, first feasible k)
-//     become monotone per-lane validity masks expressed as ternary selects.
+// pass over the planes, with no per-core virtual calls or matrix copies.
+// The hypothetical core is formed where it is loaded, H(j, k) = plane(j, k)
+// + u_t(k) on the task's own level, and u_t(k) is read once per call.  The
+// pass is pack-major (batch_probe_impl.hpp): it walks the cores in lane
+// packs and runs the whole Eq. (4) / Theorem 1 / Eq. (9) computation of a
+// pack with the levels as the inner loop, so a lane's state stays in
+// registers.  The scalar code's data-dependent `break`s (invalid lambda_j,
+// first feasible k) become monotone per-lane masks and exact selects.
+// batch_fits skips Theorem 1 for every pack whose lanes all pass Eq. (4).
 //
 // 2-D: evaluates the core utilization of T candidate tasks against all M
-// cores in one tiled pass.
-// Tasks are processed in task-major tiles of kBatchProbeTileTasks; within a
-// tile the hypothetical rows of every task are materialized level-by-level
-// (each committed plane row is loaded once per tile, not once per task) and
-// the planes stay cache-resident across the tile's per-task passes.  Output
-// buffers are task-major: row t (length M) is task tasks[t] against every
-// core, bit-identical to the corresponding 1-D call.
+// cores in one call.  It takes the tasks two at a time and runs each lane
+// pack of both in one step, so their two division chains overlap.  Output
+// is task-major: row t (length M) is task tasks[t] against every core,
+// bit-identical to the corresponding 1-D call.
 //
-// Lane loops the auto-vectorizer handles are plain ternary-select loops; the
-// two it abandons (the Eq. (9) policy fold and the lambda-validity counter)
-// use explicit SIMD via lane_ops.hpp (AVX2/SSE2/scalar).  Backends are
-// selected per translation unit at compile time and upgraded at runtime
-// (batch_probe.cpp dispatches to an AVX2-compiled sibling TU when the CPU
-// supports it); batch_probe_backend()/set_batch_probe_backend() expose the
-// choice for tests and diagnostics.
+// Every pass is written once against lane_ops.hpp (AVX2/SSE2/scalar).
+// Backends are selected per translation unit at compile time and upgraded
+// at runtime (batch_probe.cpp dispatches to an AVX2-compiled sibling TU when
+// the CPU supports it); batch_probe_backend()/set_batch_probe_backend()
+// expose the choice for tests and diagnostics.
 //
 // Bit-identity contract: every floating-point operation that contributes to
 // a lane's result is the same operation, in the same order, as the scalar
 // path (improved_test + core_utilization on a UtilMatrix with the task
-// added) — on every backend, at every tile position.  Masked-out lanes may
-// evaluate extra arithmetic — including divisions whose IEEE inf/NaN results
-// are discarded by the selects — but a live lane's value stream is
-// identical, so ProbeResults and accept masks match the scalar API bit for
-// bit (enforced by tests/analysis/batch_probe_test, batch_probe_2d_test and
-// the probe-parity fuzz target).
+// added) — on every backend, at every lane and task position.  Masked-out
+// lanes may evaluate extra arithmetic — including divisions whose IEEE
+// inf/NaN results are discarded by the selects — but a live lane's value
+// stream is identical, so ProbeResults and accept masks match the scalar
+// API bit for bit (enforced by tests/analysis/batch_probe_test,
+// batch_probe_2d_test and the probe-parity fuzz target).
 #pragma once
 
 #include <cstddef>
@@ -52,49 +47,20 @@
 
 namespace mcs::analysis {
 
-/// Tasks per 2-D tile: big enough to amortize the per-tile plane walk,
-/// small enough that tile scratch (kBatchProbeTileTasks x K x M doubles)
-/// stays L1/L2-resident at the largest supported geometry.
-inline constexpr std::size_t kBatchProbeTileTasks = 8;
+/// Lanes one kernel step covers at most: two packs of the widest lane
+/// backend (AVX2, four doubles each).
+inline constexpr std::size_t kStepLanes = 8;
 
-/// Reusable lane buffers for the batched kernels (all sized by resize();
-/// no allocation afterwards while K and M are stable).  Planes are
-/// lane-major: row r of a (K-1) x M buffer starts at data() + r * cores.
-///
-/// valid/sched/found hold small exact integers (0/1 or a level index) as
-/// doubles so the explicit-SIMD loops operate on uniform 64-bit lanes; the
-/// comparisons against them are exact.
+/// Reusable buffers of the batched kernels, sized by resize() (no
+/// allocation afterwards while K is stable).  The rest of a lane's state
+/// lives in registers.
 struct BatchProbeScratch {
-  void resize(Level num_levels, std::size_t num_cores);
+  void resize(Level num_levels);
 
-  /// Hypothetical task rows H(k), kBatchProbeTileTasks tiles of K x M; the
-  /// 1-D kernels use tile slot 0.
-  std::vector<double> hrow;
-  std::vector<double> lambda;      ///< lambda_j plane (Eq. 6), (K-1) x M
-  std::vector<double> theta;       ///< theta(k) plane, (K-1) x M
-  std::vector<double> acc;         ///< M-wide accumulator (num/suffix/sum)
-  std::vector<double> prod;        ///< prod_{x<j} (1 - lambda_x), M
-  std::vector<double> min_term;    ///< min{U_K(K), U_K(K-1)/(1-U_K(K))}, M
-  std::vector<double> mu;          ///< running mu(k) product, M
-  std::vector<double> best;        ///< policy-fold accumulator, M
-  std::vector<double> first_avail; ///< A(best_k) for kFirstFeasible, M
-  std::vector<double> valid;       ///< lambda_valid_count per lane, M
-  std::vector<double> sched;       ///< Theorem-1 schedulable mask (0/1), M
-  std::vector<double> found;       ///< fold saw a feasible condition (0/1), M
-
-  /// Per-call shared tables over the *committed* planes, filled once per
-  /// 2-D call (see BaseTables in batch_probe_impl.hpp): partial sums of the
-  /// lambda numerators, theta suffix/rows and the min term, stored with the
-  /// exact accumulation order of the per-task loops so a task only
-  /// recomputes the partials its own hypothetical row perturbs.
-  std::vector<double> base_num;      ///< pre_j(x) rows, (K+1) x (K+1) x M
-  std::vector<double> base_suffix;   ///< theta suffix(k) rows, (K+1) x M
-  std::vector<double> base_theta;    ///< committed theta(k) rows, (K-1) x M
-  std::vector<double> base_min_term; ///< committed min term, M
-  std::vector<const double*> th_rows; ///< per-task theta row pointers, K-1
+  std::vector<double> tu;     ///< u_t(1..K) of a step's two tasks, 2 x K
+  std::vector<double> theta;  ///< theta(k) rows of a step, (K-1) x kStepLanes
 
   Level levels = 0;
-  std::size_t cores = 0;
 };
 
 // --- 1-D: one task, all cores ----------------------------------------------

@@ -7,22 +7,29 @@
 // backend the including TU's flags allow; batch_probe.cpp's dispatcher
 // chooses between the resulting KernelTables at runtime.
 //
-// Loop labeling convention (checked by tools/check_vectorization.sh):
-//   * "lane loop: <name>"  — plain ternary-select loop the auto-vectorizer
-//     must vectorize at -O3;
-//   * "simd loop: <name>"  — explicitly vectorized via lane_ops.hpp packs
-//     (with a ScalarOps remainder tail, bit-identical by the lane-ops
-//     contract); the script verifies these by inspecting the generated
-//     machine code, not the vectorizer report.
+// Pack-major: a kernel walks the core lanes in steps, and one step runs the
+// whole Eq. (4) / Theorem 1 / Eq. (9) computation with the levels as its
+// inner loop, so a lane's state stays in registers from the first level to
+// the writeback.  A step holds one or two Units, each one lane pack of one
+// task's hypothetical core; two Units have independent division chains:
+//   * 1-D: two DefaultOps packs of the task while two fit, then one pack,
+//     then ScalarOps lanes;
+//   * 2-D: one pack of two of the call's tasks, then ScalarOps lanes of the
+//     same two; an odd last task takes the 1-D walk.
+// Only theta(k) goes through memory (BatchProbeScratch): it is built from
+// the top level down and read from the bottom up.
+//
+// The three lane walks are labelled "simd loop: <name>";
+// tools/check_vectorization.sh requires the labels and checks the packed
+// machine code of both TUs.
 //
 // Bit-identity: see the contract in batch_probe.hpp.  The scalar reference
-// for every loop is the historical code in improved_test/core_utilization;
-// each ScalarOps tail below is the lane-ops spelling of exactly that code.
+// is improved_test (edfvd.cpp) and core_utilization (core_util.cpp); the
+// ScalarOps instantiation is the lane-ops spelling of exactly that code.
 #ifndef MCS_BATCH_PROBE_ISA
 #error "batch_probe_impl.hpp requires MCS_BATCH_PROBE_ISA to be defined"
 #endif
 
-#include <algorithm>
 #include <limits>
 
 #include "mcs/analysis/batch_probe.hpp"
@@ -32,574 +39,338 @@ namespace mcs::analysis::batch_kernel::MCS_BATCH_PROBE_ISA {
 
 namespace {
 
+using lanes::ScalarOps;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Materializes one hypothetical task row into `hrow` (K x M, lane-major):
-/// hrow(k) = plane(l_t, k) + u_t(k) for k = 1..l_t — the same single
-/// addition UtilMatrix::add performs on the scalar scratch copy.
-void materialize_task_row(const LevelUtilPlanes& planes, const McTask& task,
-                          double* __restrict hrow) {
-  const Level jt = task.level();
-  const std::size_t M = planes.num_cores();
-  for (Level k = 1; k <= jt; ++k) {
-    const double tu = task.utilization(k);
-    const double* __restrict src = planes.plane(jt, k);
-    double* __restrict dst = hrow + static_cast<std::size_t>(k - 1) * M;
-    for (std::size_t m = 0; m < M; ++m) {  // lane loop: hrow
-      dst[m] = src[m] + tu;
-    }
-  }
-}
+static_assert(2 * lanes::DefaultOps::kWidth <= kStepLanes,
+              "a step's theta rows must fit BatchProbeScratch::theta");
 
-/// Materializes the hypothetical rows of a whole tile, level-by-level: each
-/// committed plane row plane(l, k) is loaded once per tile and feeds every
-/// tile slot whose task lives at level l, instead of being re-walked per
-/// task.  Slot i's rows land at hrow + i * K * M (lane-major K x M), and
-/// each row is bitwise the one materialize_task_row would produce.
-void materialize_tile(const LevelUtilPlanes& planes, const TaskSet& ts,
-                      const std::size_t* tasks, std::size_t tile,
-                      double* __restrict hrow) {
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  const std::size_t row_stride = static_cast<std::size_t>(K) * M;
-  for (Level l = 1; l <= K; ++l) {
-    for (Level k = 1; k <= l; ++k) {
-      const double* __restrict src = planes.plane(l, k);
-      for (std::size_t i = 0; i < tile; ++i) {
-        const McTask& task = ts[tasks[i]];
-        if (task.level() != l) continue;
-        const double tu = task.utilization(k);
-        double* __restrict dst =
-            hrow + i * row_stride + static_cast<std::size_t>(k - 1) * M;
-        for (std::size_t m = 0; m < M; ++m) {  // lane loop: hrow tile
-          dst[m] = src[m] + tu;
-        }
-      }
-    }
-  }
-}
+// Everything a step calls is forced inline into the lane walk, where the
+// step's Units are locals: that is what keeps their state in registers.
+#if defined(__GNUC__)
+#define MCS_STEP_INLINE [[gnu::always_inline]] inline
+#else
+#define MCS_STEP_INLINE inline
+#endif
 
-/// Per-call tables over the *committed* planes, shared by every task of one
-/// 2-D call.  Each table stores the running value of a per-task accumulation
-/// loop after each step, computed with the identical operation order, so a
-/// task at level l_t reuses the partial sums its hypothetical row does not
-/// perturb and recomputes only the remainder:
-///
-///   * pre_j(x)   = sum_{y=j..x} plane(y, j-1), ascending (lambda numerator
-///     partials; pre_j(j-1) is the zero row the per-task loop starts from);
-///     a task with l_t < j never perturbs the sum, so num = pre_j(K) whole.
-///   * suffix(k)  = sum_{x=k..K-1} plane(x, x), descending (theta partials;
-///     suffix(K) is the zero seed), and theta(k) = suffix(k) + min_term for
-///     the committed min term — rows k > l_t are reused as-is.
-///   * min_term   — committed; reused whole by every task with l_t < K.
-class BaseTables {
- public:
-  BaseTables(const LevelUtilPlanes& planes, BatchProbeScratch& s)
-      : s_(&s), K_(planes.num_levels()), M_(planes.num_cores()) {}
-
-  [[nodiscard]] const double* pre(Level j, Level x) const {
-    return s_->base_num.data() +
-           (static_cast<std::size_t>(j) * (K_ + std::size_t{1}) + x) * M_;
-  }
-  [[nodiscard]] const double* suffix(Level k) const {
-    return s_->base_suffix.data() + static_cast<std::size_t>(k) * M_;
-  }
-  [[nodiscard]] const double* theta(Level k) const {
-    return s_->base_theta.data() + static_cast<std::size_t>(k - 1) * M_;
-  }
-  [[nodiscard]] const double* min_term() const {
-    return s_->base_min_term.data();
-  }
-
-  /// Fills the lambda-numerator, min-term and theta tables (K >= 2).
-  void build_improved(const LevelUtilPlanes& planes) {
-    const Level K = static_cast<Level>(K_);
-    for (Level j = 2; j + 1 <= K; ++j) {
-      double* __restrict seed = s_->base_num.data() +
-                                (static_cast<std::size_t>(j) * (K_ + 1) +
-                                 (j - std::size_t{1})) *
-                                    M_;
-      std::fill(seed, seed + M_, 0.0);
-      for (Level x = j; x <= K; ++x) {
-        const double* __restrict r = planes.plane(x, j - 1);
-        const double* __restrict prev =
-            s_->base_num.data() +
-            (static_cast<std::size_t>(j) * (K_ + 1) + (x - std::size_t{1})) *
-                M_;
-        double* __restrict cur =
-            s_->base_num.data() +
-            (static_cast<std::size_t>(j) * (K_ + 1) + x) * M_;
-        for (std::size_t m = 0; m < M_; ++m) {  // lane loop: base numerator
-          cur[m] = prev[m] + r[m];
-        }
-      }
-    }
-
-    const double* __restrict rkk = planes.plane(K, K);
-    const double* __restrict rkprev = planes.plane(K, K - 1);
-    double* __restrict mint = s_->base_min_term.data();
-    for (std::size_t m = 0; m < M_; ++m) {  // lane loop: base min term
-      const double ukk = rkk[m];
-      const double div = rkprev[m] / (1.0 - ukk);
-      const double second = ukk < 1.0 ? div : kInf;
-      mint[m] = ukk <= second ? ukk : second;
-    }
-
-    double* __restrict sfx = s_->base_suffix.data();
-    std::fill(sfx + (K_ * M_), sfx + (K_ + 1) * M_, 0.0);  // suffix(K) seed
-    for (Level k = K - 1; k >= 1; --k) {
-      const double* __restrict diag = planes.plane(k, k);
-      const double* __restrict prev =
-          sfx + (static_cast<std::size_t>(k) + 1) * M_;
-      double* __restrict cur = sfx + static_cast<std::size_t>(k) * M_;
-      double* __restrict th =
-          s_->base_theta.data() + (k - std::size_t{1}) * M_;
-      for (std::size_t m = 0; m < M_; ++m) {  // lane loop: base theta
-        cur[m] = prev[m] + diag[m];
-        th[m] = cur[m] + mint[m];
-      }
-      if (k == 1) break;  // Level is unsigned
-    }
-  }
-
- private:
-  BatchProbeScratch* s_;
-  std::size_t K_;
-  std::size_t M_;
+/// One task of a step: its u_t(k), read once per call, and the output slot
+/// of core lane 0.
+struct TaskRef {
+  const double* tu;  ///< u_t(1..l_t) at tu[0..l_t-1]
+  Level level;       ///< l_t
+  std::size_t out;
 };
 
-/// Minimum 2-D call width for which building the per-call BaseTables
-/// (O(K^2 M), roughly one task's full pass) pays for itself.
-constexpr std::size_t kShareMinTasks = 4;
+TaskRef load_task(const McTask& task, double* tu, std::size_t out) {
+  for (Level k = 1; k <= task.level(); ++k) tu[k - 1] = task.utilization(k);
+  return {tu, task.level(), out};
+}
 
-/// Row selector with the task-row substitution hoisted out of the lane
-/// loops: rows of the task's own level l_t read the hypothetical row block,
-/// every other row reads the committed plane.
-class RowView {
- public:
-  RowView(const LevelUtilPlanes& planes, const double* hrow, Level jt)
-      : planes_(&planes), hrow_(hrow), jt_(jt) {}
-
-  [[nodiscard]] const double* operator()(Level j, Level k) const {
-    if (j == jt_) {
-      return hrow_ + static_cast<std::size_t>(k - 1) * planes_->num_cores();
-    }
-    return planes_->plane(j, k);
-  }
-
- private:
-  const LevelUtilPlanes* planes_;
-  const double* hrow_;
-  Level jt_;
-};
-
-/// One lane-ops pack of the lambda-validity update at lane offset m.
-/// Scalar reference (per lane):
-///   denom = prod[m] - diag[m]; lam = num[m] / denom;
-///   ok = valid[m] == j-1 && denom > 0 && lam >= 0 && lam < 1;
-///   lamj[m]  = ok ? lam : 0.0;
-///   valid[m] = ok ? j : valid[m];
-///   prod[m]  = ok ? prod[m] * (1 - lam) : prod[m];
-/// Dead lanes (valid != j-1) may divide to IEEE inf/NaN; every select below
-/// is an exact bitwise blend, so those bits are discarded unchanged.
+/// One lane pack of one task's hypothetical core, with its Theorem-1 state.
 template <class L>
-inline void lambda_validity_pack(const double* __restrict num,
-                                 const double* __restrict diag,
-                                 double* __restrict lamj,
-                                 double* __restrict valid,
-                                 double* __restrict prod, double prev_j,
-                                 double this_j, std::size_t m) {
-  const auto zero = L::broadcast(0.0);
-  const auto one = L::broadcast(1.0);
-  const auto prodv = L::load(prod + m);
-  const auto denom = L::sub(prodv, L::load(diag + m));
-  const auto lam = L::div(L::load(num + m), denom);
-  const auto validv = L::load(valid + m);
-  const auto ok = L::bit_and(
-      L::cmp_eq(validv, L::broadcast(prev_j)),
+struct Unit {
+  using Pack = typename L::Pack;
+
+  Unit(const LevelUtilPlanes& p, const TaskRef& t, std::size_t lane,
+       double* th)
+      : planes(&p), task(t), m(lane), theta(th) {}
+
+  /// H(j, k): the committed plane(j, k), plus u_t(k) on the task's own
+  /// level — the single addition UtilMatrix::add makes on the scalar copy.
+  [[nodiscard]] MCS_STEP_INLINE Pack h(Level j, Level k) const {
+    const Pack v = L::load(planes->plane(j, k) + m);
+    return j == task.level ? L::add(v, L::broadcast(task.tu[k - 1])) : v;
+  }
+  [[nodiscard]] std::size_t slot() const { return task.out + m; }
+
+  const LevelUtilPlanes* planes;
+  TaskRef task;
+  std::size_t m;  ///< first core lane
+  double* theta;  ///< theta(k) at theta + (k - 1) * L::kWidth
+
+  Pack prod{};   ///< prod_{x<=k} (1 - lambda_x): mu(k) while alive
+  Pack alive{};  ///< mask: lambda_2..lambda_k valid (k <= the valid count)
+  Pack sched{};  ///< mask: some condition held (fits: seeded with Eq. (4))
+  Pack first{};  ///< A(k) of the first condition that held
+  Pack best{};   ///< the Eq. (9) fold over the conditions with A(k) >= 0
+  Pack found{};  ///< mask: the fold has taken a condition
+};
+
+template <class L>
+MCS_STEP_INLINE bool all_set(typename L::Pack mask) {
+  return L::bits(mask) == (1u << L::kWidth) - 1;
+}
+
+template <class L>
+MCS_STEP_INLINE void store_mask(std::uint8_t* out, typename L::Pack mask) {
+  const unsigned bits = L::bits(mask);
+  for (std::size_t i = 0; i < L::kWidth; ++i) {
+    out[i] = static_cast<std::uint8_t>((bits >> i) & 1u);
+  }
+}
+
+/// Eq. (4) with the task added: sum_k H(k, k) <= 1, summed in ascending k
+/// like UtilMatrix::own_level_sum.
+template <class L>
+MCS_STEP_INLINE typename L::Pack eq4(const Unit<L>& u, Level K) {
+  typename L::Pack total = L::broadcast(0.0);
+  for (Level k = 1; k <= K; ++k) total = L::add(total, u.h(k, k));
+  return L::cmp_le(total, L::broadcast(1.0));
+}
+
+// --- Theorem 1 (improved_test in edfvd.cpp), K >= 2 --------------------------
+//
+// The scalar breaks become masks: an invalid lambda_k clears `alive`, which
+// is then exactly "k > lambda_valid_count" and never set again.  The scalar
+// mu(k) is `prod`: both start at 1 and take the same factors
+// (1 - lambda_k), with 1 * (1 - 0) = 1 for lambda_1, so they agree bit for
+// bit on every live lane.  Dead lanes may divide to IEEE inf/NaN; every
+// select is an exact bitwise blend, so those bits never reach a live lane.
+
+/// theta(k) into the unit's rows, and the state before condition 1.  Fits
+/// expects `sched` seeded with Eq. (4).
+template <class L, bool Fits>
+MCS_STEP_INLINE void start(Unit<L>& s, Level K) {
+  using Pack = typename L::Pack;
+  const Pack zero = L::broadcast(0.0);
+  const Pack one = L::broadcast(1.0);
+  // The min term of theta, shared by every condition k.  Where ukk >= 1 the
+  // division is discarded by the select.
+  const Pack ukk = s.h(K, K);
+  const Pack div = L::div(s.h(K, K - 1), L::sub(one, ukk));
+  const Pack second = L::blend(L::cmp_lt(ukk, one), div, L::broadcast(kInf));
+  const Pack min_term = L::blend(L::cmp_le(ukk, second), ukk, second);
+  // theta(k) from the own-level suffix sums, built top-down.
+  Pack suffix = zero;
+  for (Level k = K - 1; k >= 1; --k) {
+    suffix = L::add(suffix, s.h(k, k));
+    L::store(s.theta + (k - 1) * L::kWidth, L::add(suffix, min_term));
+    if (k == 1) break;  // Level is unsigned
+  }
+  s.prod = one;
+  s.alive = L::cmp_eq(zero, zero);  // lambda_1 = 0 is always valid
+  if constexpr (!Fits) s.sched = zero;
+  s.first = zero;
+  s.best = zero;
+  s.found = zero;
+}
+
+/// lambda_k per Eq. (6), its numerator summed in ascending x.
+template <class L>
+MCS_STEP_INLINE void lambda(Unit<L>& s, Level K, Level k) {
+  using Pack = typename L::Pack;
+  const Pack zero = L::broadcast(0.0);
+  const Pack one = L::broadcast(1.0);
+  Pack num = zero;
+  for (Level x = k; x <= K; ++x) num = L::add(num, s.h(x, k - 1));
+  const Pack denom = L::sub(s.prod, s.h(k - 1, k - 1));
+  const Pack lam = L::div(num, denom);
+  s.alive = L::bit_and(
+      s.alive,
       L::bit_and(L::cmp_gt(denom, zero),
                  L::bit_and(L::cmp_ge(lam, zero), L::cmp_lt(lam, one))));
-  L::store(lamj + m, L::blend(ok, lam, zero));
-  L::store(valid + m, L::blend(ok, L::broadcast(this_j), validv));
-  L::store(prod + m, L::blend(ok, L::mul(prodv, L::sub(one, lam)), prodv));
+  s.prod = L::blend(s.alive, L::mul(s.prod, L::sub(one, lam)), s.prod);
 }
 
-/// One lane-ops pack of the fused mu(k) / schedulability / Eq. (9) fold
-/// step at lane offset m.  Scalar reference (per lane, uint8 flags written
-/// as 0/1 doubles here):
-///   usable = k <= valid[m];
-///   mu_k   = usable ? mu[m] * (1 - lambda_k[m]) : mu[m];   mu[m] = mu_k;
-///   a      = usable ? mu_k - theta_k[m] : -inf;
-///   cond   = usable && sched[m] == 0 && theta_k[m] <= mu_k;
-///   first_avail[m] = cond ? a : first_avail[m];
-///   sched[m]       = sched[m] | cond;
-///   (Fold) take = a >= 0; u = 1 - a;
-///          best[m]  = take ? (found[m] ? min-or-max(best[m], u) : u)
-///                          : best[m];
-///          found[m] = found[m] | take;
-template <class L, ProbePolicy P, bool Fold>
-inline void mu_fold_pack(const double* __restrict th,
-                         const double* __restrict lamk,
-                         const double* __restrict valid, double* __restrict mu,
-                         double* __restrict sched, double* __restrict best,
-                         double* __restrict first_avail,
-                         double* __restrict found, double this_k,
-                         std::size_t m) {
-  const auto zero = L::broadcast(0.0);
-  const auto one = L::broadcast(1.0);
-  const auto muv = L::load(mu + m);
-  const auto thv = L::load(th + m);
-  const auto usable = L::cmp_le(L::broadcast(this_k), L::load(valid + m));
-  const auto mu_next = L::mul(muv, L::sub(one, L::load(lamk + m)));
-  const auto mu_k = L::blend(usable, mu_next, muv);
-  L::store(mu + m, mu_k);
-  const auto a = L::blend(usable, L::sub(mu_k, thv), L::broadcast(-kInf));
-  const auto schedv = L::load(sched + m);
-  const auto cond = L::bit_and(
-      usable, L::bit_and(L::cmp_eq(schedv, zero), L::cmp_le(thv, mu_k)));
-  L::store(first_avail + m, L::blend(cond, a, L::load(first_avail + m)));
-  L::store(sched + m, L::blend(cond, one, schedv));
-  if constexpr (Fold) {
-    // Scalar fold in core_utilization(): skip a < 0; the first feasible
-    // condition seeds best, later ones fold via std::min / std::max.
-    const auto take = L::cmp_ge(a, zero);
-    const auto bestv = L::load(best + m);
-    const auto u = L::sub(one, a);
-    typename L::Pack folded;
-    if constexpr (P == ProbePolicy::kMaxOverFeasible) {
-      folded = L::blend(L::cmp_lt(bestv, u), u, bestv);  // std::max(best, u)
-    } else {
-      folded = L::blend(L::cmp_lt(u, bestv), u, bestv);  // std::min(best, u)
-    }
-    const auto foundv = L::load(found + m);
-    const auto seeded = L::blend(L::cmp_eq(foundv, zero), u, folded);
-    L::store(best + m, L::blend(take, seeded, bestv));
-    L::store(found + m, L::blend(take, one, foundv));
+/// Condition k: A(k) = mu(k) - theta(k) (Eq. 8); the first k with
+/// theta(k) <= mu(k) schedules the core.  Unless Fits, also folds A(k) into
+/// the core utilization of policy P (Eq. 9, core_utilization).
+template <class L, bool Fits, ProbePolicy P>
+MCS_STEP_INLINE void condition(Unit<L>& s, Level k) {
+  using Pack = typename L::Pack;
+  const Pack th = L::load(s.theta + (k - 1) * L::kWidth);
+  const Pack avail = L::sub(s.prod, th);
+  const Pack cond =
+      L::bit_andnot(L::bit_and(s.alive, L::cmp_le(th, s.prod)), s.sched);
+  if constexpr (P == ProbePolicy::kFirstFeasible) {
+    s.first = L::blend(cond, avail, s.first);
+  }
+  s.sched = L::bit_or(s.sched, cond);
+  if constexpr (!Fits && P != ProbePolicy::kFirstFeasible) {
+    // The scalar fold skips A(k) < 0; the first feasible condition seeds
+    // best, later ones fold in via std::min / std::max.
+    const Pack take = L::bit_and(s.alive, L::cmp_ge(avail, L::broadcast(0.0)));
+    const Pack util = L::sub(L::broadcast(1.0), avail);
+    const Pack folded = P == ProbePolicy::kMaxOverFeasible
+                            ? L::blend(L::cmp_lt(s.best, util), util, s.best)
+                            : L::blend(L::cmp_lt(util, s.best), util, s.best);
+    s.best = L::blend(take, L::blend(s.found, folded, util), s.best);
+    s.found = L::bit_or(s.found, take);
   }
 }
 
-/// The Theorem-1 pass: fills s.valid, s.lambda, s.theta, s.min_term, s.sched
-/// (and, when Fold, s.best / s.first_avail / s.found).  Requires K >= 2; the
-/// task's hypothetical rows must be materialized behind `row`.
-///
-/// Scalar reference: improved_test(core, out) in edfvd.cpp.  The
-/// data-dependent breaks there become monotone masks here:
-///   * "break on invalid lambda_j"  ->  valid[m] stays at its last good j;
-///     a lane is still active at step j exactly when valid[m] == j - 1;
-///   * "break when k > valid"       ->  usable = k <= valid[m] (monotone
-///     non-increasing over k, so frozen lanes never resume).
-/// Live lanes execute the identical FP sequence; dead lanes may compute
-/// IEEE inf/NaN that the selects discard.  The two loops with genuine
-/// lane-wise select chains (lambda validity, mu + fold) run on explicit
-/// lane-ops packs with a ScalarOps tail for the remainder lanes.
-template <class Ops, ProbePolicy P, bool Fold>
-void improved_pass(const LevelUtilPlanes& planes, const RowView& row, Level jt,
-                   const BaseTables* base, BatchProbeScratch& s) {
-  using lanes::ScalarOps;
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  const std::size_t W = Ops::kWidth;
-  const std::size_t Mv = M - M % W;  // SIMD body extent; tail is scalar lanes
-
-  double* __restrict prod = s.prod.data();
-  double* __restrict valid = s.valid.data();
-  for (std::size_t m = 0; m < M; ++m) {  // lane loop: lambda init
-    prod[m] = 1.0;
-    valid[m] = 1.0;  // lambda_1 = 0 is always valid
-  }
-
-  // lambda_j per Eq. (6), j = 2..K-1.  Row 0 of the lambda plane (lambda_1)
-  // is zeroed by resize() and never written.
-  for (Level j = 2; j + 1 <= K; ++j) {
-    const double* num;
-    if (base != nullptr && jt < j) {
-      // The task's row is outside x = j..K: the committed sum is the whole
-      // numerator.
-      num = base->pre(j, K);
-    } else if (base != nullptr) {
-      // Resume the shared partial sum at x = jt (the one perturbed step),
-      // then extend with the remaining committed rows in order.
-      double* __restrict n = s.acc.data();
-      const double* __restrict pre = base->pre(j, jt - 1);
-      const double* __restrict h = row(jt, j - 1);
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: numerator resume
-        n[m] = pre[m] + h[m];
-      }
-      for (Level x = jt + 1; x <= K; ++x) {
-        const double* __restrict r = planes.plane(x, j - 1);
-        for (std::size_t m = 0; m < M; ++m) {  // lane loop: numerator extend
-          n[m] += r[m];
-        }
-      }
-      num = n;
-    } else {
-      double* __restrict n = s.acc.data();
-      std::fill(n, n + M, 0.0);
-      for (Level x = j; x <= K; ++x) {
-        const double* __restrict r = row(x, j - 1);
-        for (std::size_t m = 0; m < M; ++m) {  // lane loop: lambda numerator
-          n[m] += r[m];
-        }
-      }
-      num = n;
+/// Theorem 1 on every unit of a step, level by level.  Fits stops once
+/// every lane is accepted.
+template <class L, bool Fits, ProbePolicy P, class... U>
+MCS_STEP_INLINE void theorem1(Level K, U&... u) {
+  (start<L, Fits>(u, K), ...);
+  (condition<L, Fits, P>(u, 1), ...);
+  for (Level k = 2; k + 1 <= K; ++k) {
+    if constexpr (Fits) {
+      if ((all_set<L>(u.sched) && ...)) return;
     }
-    const double* __restrict diag = row(j - 1, j - 1);
-    double* __restrict lamj =
-        s.lambda.data() + static_cast<std::size_t>(j - 1) * M;
-    const double prev_j = static_cast<double>(j - 1);
-    const double this_j = static_cast<double>(j);
-    // simd loop: lambda validity
-    for (std::size_t m = 0; m < Mv; m += W) {
-      lambda_validity_pack<Ops>(num, diag, lamj, valid, prod, prev_j, this_j,
-                                m);
-    }
-    for (std::size_t m = Mv; m < M; ++m) {  // remainder lanes
-      lambda_validity_pack<ScalarOps>(num, diag, lamj, valid, prod, prev_j,
-                                      this_j, m);
-    }
-  }
-
-  // The min term of theta, shared by every condition k.  With BaseTables it
-  // is committed data unless the task lives at level K.
-  const double* min_term;
-  if (base != nullptr && jt < K) {
-    min_term = base->min_term();
-  } else {
-    const double* __restrict rkk = row(K, K);
-    const double* __restrict rkprev = row(K, K - 1);
-    double* __restrict mint = s.min_term.data();
-    for (std::size_t m = 0; m < M; ++m) {  // lane loop: min term
-      const double ukk = rkk[m];
-      const double div = rkprev[m] / (1.0 - ukk);  // ukk >= 1: discarded
-      const double second = ukk < 1.0 ? div : kInf;
-      mint[m] = ukk <= second ? ukk : second;
-    }
-    min_term = mint;
-  }
-
-  // theta(k) from the own-level suffix sums, built top-down.  th_rows[k-1]
-  // points at row k: the per-task scratch row where the task's own-level
-  // contribution lands, or the shared committed row where it cannot.
-  const double** __restrict th_rows = s.th_rows.data();
-  if (base == nullptr) {
-    double* __restrict suffix = s.acc.data();
-    std::fill(suffix, suffix + M, 0.0);
-    for (Level k = K - 1; k >= 1; --k) {
-      const double* __restrict diag = row(k, k);
-      double* __restrict th =
-          s.theta.data() + static_cast<std::size_t>(k - 1) * M;
-      th_rows[k - 1] = th;
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: theta
-        suffix[m] += diag[m];
-        th[m] = suffix[m] + min_term[m];
-      }
-      if (k == 1) break;  // Level is unsigned
-    }
-  } else if (jt == K) {
-    // Every suffix is committed; only the min term is the task's own.
-    for (Level k = K - 1; k >= 1; --k) {
-      const double* __restrict sfx = base->suffix(k);
-      double* __restrict th =
-          s.theta.data() + static_cast<std::size_t>(k - 1) * M;
-      th_rows[k - 1] = th;
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: theta re-term
-        th[m] = sfx[m] + min_term[m];
-      }
-      if (k == 1) break;  // Level is unsigned
-    }
-  } else {
-    // Rows above the task's level are committed; resume the shared suffix
-    // at k = jt (the perturbed step) and continue down with committed
-    // diagonals.
-    for (Level k = K - 1; k > jt; --k) th_rows[k - 1] = base->theta(k);
-    double* __restrict suffix = s.acc.data();
-    {
-      const double* __restrict pre = base->suffix(jt + 1);
-      const double* __restrict diag = row(jt, jt);
-      double* __restrict th =
-          s.theta.data() + static_cast<std::size_t>(jt - 1) * M;
-      th_rows[jt - 1] = th;
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: theta resume
-        suffix[m] = pre[m] + diag[m];
-        th[m] = suffix[m] + min_term[m];
-      }
-    }
-    for (Level k = jt - 1; k >= 1; --k) {
-      const double* __restrict diag = planes.plane(k, k);
-      double* __restrict th =
-          s.theta.data() + static_cast<std::size_t>(k - 1) * M;
-      th_rows[k - 1] = th;
-      for (std::size_t m = 0; m < M; ++m) {  // lane loop: theta extend
-        suffix[m] += diag[m];
-        th[m] = suffix[m] + min_term[m];
-      }
-      if (k == 1) break;  // Level is unsigned
-    }
-  }
-
-  // mu(k) running product, the schedulability conditions, and (when Fold)
-  // the Eq. (9) policy fold over feasible conditions — fused into one walk
-  // over k so avail values never need a (K-1) x M store.
-  double* __restrict mu = s.mu.data();
-  double* __restrict sched = s.sched.data();
-  double* __restrict best = s.best.data();
-  double* __restrict first_avail = s.first_avail.data();
-  double* __restrict found = s.found.data();
-  for (std::size_t m = 0; m < M; ++m) {  // lane loop: mu/fold init
-    mu[m] = 1.0;
-    sched[m] = 0.0;
-    best[m] = 0.0;
-    first_avail[m] = 0.0;
-    found[m] = 0.0;
-  }
-  for (Level k = 1; k + 1 <= K; ++k) {
-    const double* __restrict th = th_rows[k - 1];
-    const double* __restrict lamk =
-        s.lambda.data() + static_cast<std::size_t>(k - 1) * M;
-    const double this_k = static_cast<double>(k);
-    // simd loop: mu + fold
-    for (std::size_t m = 0; m < Mv; m += W) {
-      mu_fold_pack<Ops, P, Fold>(th, lamk, valid, mu, sched, best, first_avail,
-                                 found, this_k, m);
-    }
-    for (std::size_t m = Mv; m < M; ++m) {  // remainder lanes
-      mu_fold_pack<ScalarOps, P, Fold>(th, lamk, valid, mu, sched, best,
-                                       first_avail, found, this_k, m);
-    }
+    (lambda<L>(u, K, k), ...);
+    (condition<L, Fits, P>(u, k), ...);
   }
 }
 
+// --- Steps -------------------------------------------------------------------
+
+/// batch_core_utilization: the units' lanes of out_util.
 template <ProbePolicy P>
-void fold_utilization(const BatchProbeScratch& s, std::size_t M,
-                      double* __restrict out_util) {
-  const double* __restrict sched = s.sched.data();
-  const double* __restrict best = s.best.data();
-  const double* __restrict first_avail = s.first_avail.data();
-  const double* __restrict found = s.found.data();
-  for (std::size_t m = 0; m < M; ++m) {  // lane loop: utilization writeback
-    double u;
-    if constexpr (P == ProbePolicy::kFirstFeasible) {
-      u = 1.0 - first_avail[m];
-    } else {
-      u = found[m] != 0.0 ? best[m] : kInf;
+struct UtilStep {
+  Level K;
+  double* out;
+
+  template <class L, class... U>
+  MCS_STEP_INLINE void operator()(Unit<L>& a, U&... rest) const {
+    using Pack = typename L::Pack;
+    const Pack inf = L::broadcast(kInf);
+    if (K == 1) {
+      // Same K == 1 fast path as core_utilization(): report U_1(1) exactly.
+      const auto plain_edf = [&](const Unit<L>& s) {
+        const Pack u11 = s.h(1, 1);
+        L::store(out + s.slot(),
+                 L::blend(L::cmp_le(u11, L::broadcast(1.0)), u11, inf));
+      };
+      plain_edf(a);
+      (plain_edf(rest), ...);
+      return;
     }
-    out_util[m] = sched[m] != 0.0 ? u : kInf;
+    theorem1<L, false, P>(K, a, rest...);
+    const auto store = [&](const Unit<L>& s) {
+      Pack util;
+      if constexpr (P == ProbePolicy::kFirstFeasible) {
+        util = L::sub(L::broadcast(1.0), s.first);
+      } else {
+        util = L::blend(s.found, s.best, inf);
+      }
+      L::store(out + s.slot(), L::blend(s.sched, util, inf));
+    };
+    store(a);
+    (store(rest), ...);
+  }
+};
+
+/// batch_fits: basic = Eq. (4), fits = basic | Theorem 1.  A unit whose
+/// lanes all pass Eq. (4) skips Theorem 1: the scalar rule (Theorem 1 only
+/// after an Eq. (4) reject), as an accepted lane ORs to 1 whatever
+/// Theorem 1 says.  Eq. (4) and Theorem 1 coincide at K == 1 (plain EDF).
+struct FitsStep {
+  Level K;
+  std::uint8_t* basic;
+  std::uint8_t* fits;
+
+  template <class L>
+  MCS_STEP_INLINE void operator()(Unit<L>& a) const {
+    a.sched = eq4(a, K);
+    settle(a);
+  }
+
+  template <class L>
+  MCS_STEP_INLINE void operator()(Unit<L>& a, Unit<L>& b) const {
+    a.sched = eq4(a, K);
+    b.sched = eq4(b, K);
+    if (K == 1 || all_set<L>(a.sched) || all_set<L>(b.sched)) {
+      settle(a);
+      settle(b);
+      return;
+    }
+    store_mask<L>(basic + a.slot(), a.sched);
+    store_mask<L>(basic + b.slot(), b.sched);
+    theorem1<L, true, ProbePolicy::kMinOverFeasible>(K, a, b);
+    store_mask<L>(fits + a.slot(), a.sched);
+    store_mask<L>(fits + b.slot(), b.sched);
+  }
+
+ private:
+  /// Stores one unit's masks, `sched` holding Eq. (4); Theorem 1 runs
+  /// unless Eq. (4) accepted every lane.
+  template <class L>
+  MCS_STEP_INLINE void settle(Unit<L>& a) const {
+    store_mask<L>(basic + a.slot(), a.sched);
+    if (K >= 2 && !all_set<L>(a.sched)) {
+      theorem1<L, true, ProbePolicy::kMinOverFeasible>(K, a);
+    }
+    store_mask<L>(fits + a.slot(), a.sched);
+  }
+};
+
+/// batch_fits_basic: the Eq. (4) mask alone.
+struct BasicStep {
+  Level K;
+  std::uint8_t* basic;
+
+  template <class L, class... U>
+  MCS_STEP_INLINE void operator()(Unit<L>& a, U&... rest) const {
+    store_mask<L>(basic + a.slot(), eq4(a, K));
+    (store_mask<L>(basic + rest.slot(), eq4(rest, K)), ...);
+  }
+};
+
+// --- Lane walks --------------------------------------------------------------
+
+/// The 1-D lane walk of one task.
+template <class Ops, class Step>
+void walk_task(const LevelUtilPlanes& planes, const TaskRef& task,
+               double* theta, const Step& step) {
+  constexpr std::size_t W = Ops::kWidth;
+  const std::size_t M = planes.num_cores();
+  double* const theta_b = theta + (planes.num_levels() - 1) * W;
+  std::size_t m = 0;
+  for (; m + 2 * W <= M; m += 2 * W) {  // simd loop: pack pairs
+    Unit<Ops> a(planes, task, m, theta);
+    Unit<Ops> b(planes, task, m + W, theta_b);
+    step(a, b);
+  }
+  for (; m + W <= M; m += W) {  // simd loop: single packs
+    Unit<Ops> a(planes, task, m, theta);
+    step(a);
+  }
+  for (; m < M; ++m) {
+    Unit<ScalarOps> a(planes, task, m, theta);
+    step(a);
   }
 }
 
-template <class Ops>
-void run_improved(const LevelUtilPlanes& planes, const RowView& row, Level jt,
-                  const BaseTables* base, ProbePolicy policy, bool fold,
-                  BatchProbeScratch& s) {
+/// The 2-D lane walk of two tasks: each step holds the same pack of both.
+template <class Ops, class Step>
+void walk_task_pair(const LevelUtilPlanes& planes, const TaskRef& first,
+                    const TaskRef& second, double* theta, const Step& step) {
+  constexpr std::size_t W = Ops::kWidth;
+  const std::size_t M = planes.num_cores();
+  const std::size_t rows = planes.num_levels() - 1;
+  std::size_t m = 0;
+  for (; m + W <= M; m += W) {  // simd loop: task pairs
+    Unit<Ops> a(planes, first, m, theta);
+    Unit<Ops> b(planes, second, m, theta + rows * W);
+    step(a, b);
+  }
+  for (; m < M; ++m) {
+    Unit<ScalarOps> a(planes, first, m, theta);
+    Unit<ScalarOps> b(planes, second, m, theta + rows);
+    step(a, b);
+  }
+}
+
+template <class F>
+void with_policy(ProbePolicy policy, F&& f) {
   switch (policy) {
     case ProbePolicy::kFirstFeasible:
-      fold ? improved_pass<Ops, ProbePolicy::kFirstFeasible, true>(
-                 planes, row, jt, base, s)
-           : improved_pass<Ops, ProbePolicy::kFirstFeasible, false>(
-                 planes, row, jt, base, s);
+      f.template operator()<ProbePolicy::kFirstFeasible>();
       break;
     case ProbePolicy::kMinOverFeasible:
-      fold ? improved_pass<Ops, ProbePolicy::kMinOverFeasible, true>(
-                 planes, row, jt, base, s)
-           : improved_pass<Ops, ProbePolicy::kMinOverFeasible, false>(
-                 planes, row, jt, base, s);
+      f.template operator()<ProbePolicy::kMinOverFeasible>();
       break;
     case ProbePolicy::kMaxOverFeasible:
-      fold ? improved_pass<Ops, ProbePolicy::kMaxOverFeasible, true>(
-                 planes, row, jt, base, s)
-           : improved_pass<Ops, ProbePolicy::kMaxOverFeasible, false>(
-                 planes, row, jt, base, s);
+      f.template operator()<ProbePolicy::kMaxOverFeasible>();
       break;
-  }
-}
-
-/// Eq. (4) left-hand side with the task added: sum_k row(k, k), ascending —
-/// the same accumulation order as UtilMatrix::own_level_sum.  Returns true
-/// when every lane passes.
-bool basic_mask(const LevelUtilPlanes& planes, const RowView& row,
-                BatchProbeScratch& s, std::uint8_t* __restrict out) {
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  double* __restrict total = s.acc.data();
-  std::fill(total, total + M, 0.0);
-  for (Level k = 1; k <= K; ++k) {
-    const double* __restrict diag = row(k, k);
-    for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) sum
-      total[m] += diag[m];
-    }
-  }
-  std::uint8_t all = 1;
-  for (std::size_t m = 0; m < M; ++m) {  // lane loop: Eq. (4) mask
-    const auto pass = static_cast<std::uint8_t>(total[m] <= 1.0 ? 1 : 0);
-    out[m] = pass;
-    all &= pass;
-  }
-  return all != 0;
-}
-
-/// The post-pass shared by the 1-D and 2-D utilization kernels: one task's
-/// materialized rows -> one M-wide utilization row.
-template <class Ops>
-void utilization_row(const LevelUtilPlanes& planes, const RowView& row,
-                     Level jt, const BaseTables* base, ProbePolicy policy,
-                     BatchProbeScratch& s, double* __restrict out_util) {
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  if (K == 1) {
-    // Same K == 1 fast path as core_utilization(): report U_1(1) exactly.
-    const double* __restrict r11 = row(1, 1);
-    for (std::size_t m = 0; m < M; ++m) {  // lane loop: K == 1 utilization
-      out_util[m] = r11[m] <= 1.0 ? r11[m] : kInf;
-    }
-    return;
-  }
-  run_improved<Ops>(planes, row, jt, base, policy, /*fold=*/true, s);
-  switch (policy) {
-    case ProbePolicy::kFirstFeasible:
-      fold_utilization<ProbePolicy::kFirstFeasible>(s, M, out_util);
-      break;
-    case ProbePolicy::kMinOverFeasible:
-      fold_utilization<ProbePolicy::kMinOverFeasible>(s, M, out_util);
-      break;
-    case ProbePolicy::kMaxOverFeasible:
-      fold_utilization<ProbePolicy::kMaxOverFeasible>(s, M, out_util);
-      break;
-  }
-}
-
-/// The fits post-pass: the basic mask, plus (K >= 2, some lane rejected by
-/// Eq. (4)) the improved accept mask of one task.
-template <class Ops>
-void fits_row(const LevelUtilPlanes& planes, const RowView& row, Level jt,
-              BatchProbeScratch& s, std::uint8_t* __restrict basic,
-              std::uint8_t* __restrict fits) {
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  const bool all_basic = basic_mask(planes, row, s, basic);
-  // Eq. (4) and the improved test coincide at K == 1 (plain EDF).  Where
-  // Eq. (4) accepts every lane, the scalar rule (Theorem 1 only after an
-  // Eq. (4) reject) applies to the whole call: an accepted lane ORs to 1
-  // whatever Theorem 1 says, so the pass is skipped.
-  if (K == 1 || all_basic) {
-    std::copy(basic, basic + M, fits);
-    return;
-  }
-  // The scalar path runs the improved test only where Eq. (4) failed; the
-  // improved test is pure, so running it on every lane and OR-ing with the
-  // basic mask yields the identical accept decision.
-  run_improved<Ops>(planes, row, jt, nullptr, ProbePolicy::kMinOverFeasible,
-                    /*fold=*/false, s);
-  const double* __restrict sched = s.sched.data();
-  for (std::size_t m = 0; m < M; ++m) {  // lane loop: accept mask
-    fits[m] = static_cast<std::uint8_t>(basic[m] |
-                                        (sched[m] != 0.0 ? 1u : 0u));
   }
 }
 
 void ensure_scratch(const LevelUtilPlanes& planes, BatchProbeScratch& s) {
-  if (s.levels != planes.num_levels() || s.cores != planes.num_cores()) {
-    s.resize(planes.num_levels(), planes.num_cores());
-  }
+  if (s.levels != planes.num_levels()) s.resize(planes.num_levels());
 }
 
 // --- KernelTable entry points ------------------------------------------------
@@ -608,27 +379,27 @@ template <class Ops>
 void util_1d(const LevelUtilPlanes& planes, const McTask& task,
              ProbePolicy policy, BatchProbeScratch& s, double* out_util) {
   ensure_scratch(planes, s);
-  materialize_task_row(planes, task, s.hrow.data());
-  const RowView row(planes, s.hrow.data(), task.level());
-  utilization_row<Ops>(planes, row, task.level(), nullptr, policy, s,
-                       out_util);
+  const TaskRef t = load_task(task, s.tu.data(), 0);
+  with_policy(policy, [&]<ProbePolicy P>() {
+    walk_task<Ops>(planes, t, s.theta.data(),
+                   UtilStep<P>{planes.num_levels(), out_util});
+  });
 }
 
 template <class Ops>
 void fits_1d(const LevelUtilPlanes& planes, const McTask& task,
              BatchProbeScratch& s, std::uint8_t* basic, std::uint8_t* fits) {
   ensure_scratch(planes, s);
-  materialize_task_row(planes, task, s.hrow.data());
-  const RowView row(planes, s.hrow.data(), task.level());
-  fits_row<Ops>(planes, row, task.level(), s, basic, fits);
+  walk_task<Ops>(planes, load_task(task, s.tu.data(), 0), s.theta.data(),
+                 FitsStep{planes.num_levels(), basic, fits});
 }
 
+template <class Ops>
 void fits_basic_1d(const LevelUtilPlanes& planes, const McTask& task,
                    BatchProbeScratch& s, std::uint8_t* basic) {
   ensure_scratch(planes, s);
-  materialize_task_row(planes, task, s.hrow.data());
-  const RowView row(planes, s.hrow.data(), task.level());
-  basic_mask(planes, row, s, basic);
+  walk_task<Ops>(planes, load_task(task, s.tu.data(), 0), s.theta.data(),
+                 BasicStep{planes.num_levels(), basic});
 }
 
 template <class Ops>
@@ -638,28 +409,25 @@ void util_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
   ensure_scratch(planes, s);
   const Level K = planes.num_levels();
   const std::size_t M = planes.num_cores();
-  const std::size_t row_stride = static_cast<std::size_t>(K) * M;
-  BaseTables tables(planes, s);
-  const BaseTables* base = nullptr;
-  if (K >= 2 && T >= kShareMinTasks) {
-    tables.build_improved(planes);
-    base = &tables;
-  }
-  for (std::size_t t0 = 0; t0 < T; t0 += kBatchProbeTileTasks) {
-    const std::size_t tile = std::min(kBatchProbeTileTasks, T - t0);
-    materialize_tile(planes, ts, tasks + t0, tile, s.hrow.data());
-    for (std::size_t i = 0; i < tile; ++i) {
-      const Level jt = ts[tasks[t0 + i]].level();
-      const RowView row(planes, s.hrow.data() + i * row_stride, jt);
-      utilization_row<Ops>(planes, row, jt, base, policy, s,
-                           out_util + (t0 + i) * M);
+  with_policy(policy, [&]<ProbePolicy P>() {
+    const UtilStep<P> step{K, out_util};
+    std::size_t t = 0;
+    for (; t + 2 <= T; t += 2) {
+      const TaskRef a = load_task(ts[tasks[t]], s.tu.data(), t * M);
+      const TaskRef b =
+          load_task(ts[tasks[t + 1]], s.tu.data() + K, (t + 1) * M);
+      walk_task_pair<Ops>(planes, a, b, s.theta.data(), step);
     }
-  }
+    if (t < T) {
+      walk_task<Ops>(planes, load_task(ts[tasks[t]], s.tu.data(), t * M),
+                     s.theta.data(), step);
+    }
+  });
 }
 
 template <class Ops>
 const KernelTable& table_for(const char* backend) {
-  static const KernelTable t{util_1d<Ops>, fits_1d<Ops>, fits_basic_1d,
+  static const KernelTable t{util_1d<Ops>, fits_1d<Ops>, fits_basic_1d<Ops>,
                              util_2d<Ops>, backend};
   return t;
 }
@@ -679,3 +447,5 @@ const KernelTable& scalar_table() {
 }
 
 }  // namespace mcs::analysis::batch_kernel::MCS_BATCH_PROBE_ISA
+
+#undef MCS_STEP_INLINE

@@ -1,10 +1,9 @@
 // Portable SIMD lane operations for the batched probe kernels.
 //
-// The auto-vectorizer handles most of the kernel's lane loops, but gives up
-// on the two loops whose state updates look like serial dependencies at -O3
-// (the Eq. (9) policy fold and the lambda-validity counter).  Those loops
-// are written once against the small operation set below and compiled per
-// backend:
+// The kernels (batch_probe_impl.hpp) keep a lane's whole Theorem-1 state in
+// registers across the levels, a shape the auto-vectorizer does not take
+// on, so they are written once against the small operation set below and
+// compiled per backend:
 //
 //   * Avx2Ops    -- 4 doubles per lane op (requires __AVX2__ in the TU),
 //   * Sse2Ops    -- 2 doubles per lane op (x86-64 baseline),
@@ -14,9 +13,11 @@
 // per lane (add/sub/mul/div map to the corresponding vector instruction,
 // which is IEEE-identical lane-wise; there is deliberately no FMA in this
 // set).  Masks are full-width lane patterns (all-ones / all-zero) produced
-// only by the cmp_* operations, and blend(mask, a, b) is an exact bitwise
-// select -- so `blend(cmp_lt(x, y), a, b)` computes precisely the scalar
-// `x < y ? a : b`, NaN ordering included.  A kernel written against these
+// only by the cmp_* operations and combined only by the bit_* ones, and
+// blend(mask, a, b) is an exact bitwise select -- so
+// `blend(cmp_lt(x, y), a, b)` computes precisely the scalar
+// `x < y ? a : b`, NaN ordering included.  bits(mask) reads a mask out as
+// one bit per lane, lane i at bit i.  A kernel written against these
 // ops therefore produces the same bits on every backend, which the
 // batch-probe property tests and the probe-parity fuzz target enforce.
 //
@@ -63,18 +64,30 @@ struct ScalarOps {
   static Pack cmp_le(Pack a, Pack b) noexcept { return mask(a <= b); }
 
   static Pack bit_and(Pack a, Pack b) noexcept {
-    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) &
-                                 std::bit_cast<std::uint64_t>(b));
+    return std::bit_cast<double>(raw(a) & raw(b));
+  }
+  static Pack bit_or(Pack a, Pack b) noexcept {
+    return std::bit_cast<double>(raw(a) | raw(b));
+  }
+  /// a & ~b.
+  static Pack bit_andnot(Pack a, Pack b) noexcept {
+    return std::bit_cast<double>(raw(a) & ~raw(b));
   }
 
   /// m ? a : b per lane; m must be a mask (all-ones or all-zero).
   static Pack blend(Pack m, Pack a, Pack b) noexcept {
-    const std::uint64_t mi = std::bit_cast<std::uint64_t>(m);
-    return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mi) |
-                                 (std::bit_cast<std::uint64_t>(b) & ~mi));
+    return std::bit_cast<double>((raw(a) & raw(m)) | (raw(b) & ~raw(m)));
+  }
+
+  /// The sign bit, as movemask reads a lane.
+  static unsigned bits(Pack m) noexcept {
+    return static_cast<unsigned>(raw(m) >> 63);
   }
 
  private:
+  static std::uint64_t raw(Pack v) noexcept {
+    return std::bit_cast<std::uint64_t>(v);
+  }
   static Pack mask(bool b) noexcept {
     return std::bit_cast<double>(b ? ~std::uint64_t{0} : std::uint64_t{0});
   }
@@ -103,10 +116,18 @@ struct Sse2Ops {
   static Pack cmp_le(Pack a, Pack b) noexcept { return _mm_cmple_pd(a, b); }
 
   static Pack bit_and(Pack a, Pack b) noexcept { return _mm_and_pd(a, b); }
+  static Pack bit_or(Pack a, Pack b) noexcept { return _mm_or_pd(a, b); }
+  static Pack bit_andnot(Pack a, Pack b) noexcept {
+    return _mm_andnot_pd(b, a);
+  }
 
   static Pack blend(Pack m, Pack a, Pack b) noexcept {
     // SSE2 has no blendv; and/andnot/or is the exact bitwise select.
     return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
+  }
+
+  static unsigned bits(Pack m) noexcept {
+    return static_cast<unsigned>(_mm_movemask_pd(m));
   }
 };
 
@@ -144,9 +165,17 @@ struct Avx2Ops {
   }
 
   static Pack bit_and(Pack a, Pack b) noexcept { return _mm256_and_pd(a, b); }
+  static Pack bit_or(Pack a, Pack b) noexcept { return _mm256_or_pd(a, b); }
+  static Pack bit_andnot(Pack a, Pack b) noexcept {
+    return _mm256_andnot_pd(b, a);
+  }
 
   static Pack blend(Pack m, Pack a, Pack b) noexcept {
     return _mm256_blendv_pd(b, a, m);  // mask true picks a
+  }
+
+  static unsigned bits(Pack m) noexcept {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
   }
 };
 

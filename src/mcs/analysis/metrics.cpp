@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace mcs::analysis {
 
@@ -12,17 +13,24 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 PartitionMetrics partition_metrics(const Partition& partition,
                                    ProbePolicy policy) {
-  PartitionMetrics m;
+  MetricsScratch scratch{.utils = UtilMatrix(partition.planes().num_levels())};
+  partition_metrics(partition, scratch, policy);
+  return std::move(scratch.result);
+}
+
+const PartitionMetrics& partition_metrics(const Partition& partition,
+                                          MetricsScratch& scratch,
+                                          ProbePolicy policy) {
+  PartitionMetrics& m = scratch.result;
+  m.core_utils.clear();
   m.core_utils.reserve(partition.num_cores());
   m.feasible = true;
   double sum = 0.0;
   double lo = kInf;
   double hi = 0.0;
-  UtilMatrix utils(partition.planes().num_levels());
-  Theorem1Result scratch;
   for (std::size_t c = 0; c < partition.num_cores(); ++c) {
-    partition.utils_on(c, utils);
-    const double u = core_utilization(utils, scratch, policy);
+    partition.utils_on(c, scratch.utils);
+    const double u = core_utilization(scratch.utils, scratch.test, policy);
     m.core_utils.push_back(u);
     if (u == kInf) m.feasible = false;
     sum += u;

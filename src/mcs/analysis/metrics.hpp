@@ -30,6 +30,21 @@ struct PartitionMetrics {
     const Partition& partition,
     ProbePolicy policy = ProbePolicy::kMinOverFeasible);
 
+/// Storage partition_metrics can reuse across partitions: the result and
+/// the improved-test scratch.
+struct MetricsScratch {
+  PartitionMetrics result;
+  UtilMatrix utils{1};
+  Theorem1Result test;
+};
+
+/// partition_metrics into `scratch.result`, allocation-free once the
+/// scratch has served a partition of the same shape (the Monte-Carlo trial
+/// loop's form).
+const PartitionMetrics& partition_metrics(
+    const Partition& partition, MetricsScratch& scratch,
+    ProbePolicy policy = ProbePolicy::kMinOverFeasible);
+
 /// Lambda from an explicit vector of core utilizations (Eq. 16).  Infinite
 /// entries make the result 1.  Returns 0 when all entries are zero.
 [[nodiscard]] double imbalance_factor(const std::vector<double>& core_utils);

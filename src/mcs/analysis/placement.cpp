@@ -51,9 +51,12 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
   } else {
     partition_.emplace(ts, num_cores);
   }
-  batch_scratch_.resize(ts.num_levels(), num_cores);
+  batch_scratch_.resize(ts.num_levels());
   batch_util_.assign(num_cores, 0.0);
   batch_basic_.assign(num_cores, 0);
+  buffers_.candidates.assign(num_cores, Candidate{});
+  buffers_.feasible.assign(num_cores, 0);
+  buffers_.probes.assign(num_cores, ProbeResult{});
   scratch_.reset(ts.num_levels());
   util_.assign(num_cores, 0.0);
   probes_ = 0;
@@ -63,21 +66,20 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
 }
 
 std::span<const std::size_t> PlacementEngine::CachedOrder::of(
-    const TaskSet& ts,
-    void (*sort)(const TaskSet&, std::vector<std::size_t>&)) {
+    const TaskSet& ts, std::vector<double>& keys, OrderSort sort) {
   if (serial != ts.serial()) {
-    sort(ts, order);
+    sort(ts, keys, order);
     serial = ts.serial();
   }
   return order;
 }
 
 std::span<const std::size_t> PlacementEngine::max_utilization_order() {
-  return max_util_order_.of(taskset(), order_by_max_utilization);
+  return max_util_order_.of(taskset(), order_keys_, order_by_max_utilization);
 }
 
 std::span<const std::size_t> PlacementEngine::contribution_order() {
-  return contribution_order_.of(taskset(), order_by_contribution);
+  return contribution_order_.of(taskset(), order_keys_, order_by_contribution);
 }
 
 const UtilMatrix& PlacementEngine::with_task(std::size_t task,

@@ -20,7 +20,8 @@
 //   * the unified probe counter every scheme reports,
 //   * the two task orders the schemes place in (maximum utilization and
 //     CA-TPA contribution), each sorted once per task set and shared by
-//     every scheme run on that set.
+//     every scheme run on that set,
+//   * the lane and task buffers the schemes fill per task (SchemeBuffers).
 //
 // Probes evaluate exactly the same arithmetic as the historical free
 // functions (fits / fits_basic_only / probe_assignment), so partitioning
@@ -29,10 +30,13 @@
 // batch_probe.hpp and the probe-parity fuzz target).
 //
 // Engines are reusable across task sets via reset() — the Monte-Carlo
-// harness keeps one engine per worker chunk so per-trial state (planes and
-// lane scratch included) is recycled instead of reallocated.
+// harness keeps one engine per worker chunk so per-trial state (planes,
+// lane scratch, orders and scheme buffers included) is recycled instead of
+// reallocated: the paper's schemes run a trial without a heap allocation
+// (tests/partition/allocation_free_test).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -44,6 +48,16 @@
 #include "mcs/core/partition.hpp"
 
 namespace mcs::analysis {
+
+/// A feasible placement option for one (task, core) pair as seen by a
+/// scheme's core scan: its selection key (lower wins) plus one
+/// scheme-specific datum carried through to the commit step (CA-TPA stores
+/// the probed core utilization so the cache can be updated without
+/// re-probing).
+struct Candidate {
+  double key = 0.0;
+  double payload = 0.0;
+};
 
 class PlacementEngine {
  public:
@@ -57,7 +71,7 @@ class PlacementEngine {
   /// Rebinds to a task set / core count: clears the partition, cached
   /// utilizations and the probe counter, reusing all buffers.  The task
   /// orders are kept: they are re-sorted only once a set with another
-  /// serial asks for them.
+  /// serial asks for them.  The scheme buffers are resized to the cores.
   void reset(const TaskSet& ts, std::size_t num_cores);
 
   [[nodiscard]] bool bound() const noexcept { return partition_.has_value(); }
@@ -86,6 +100,22 @@ class PlacementEngine {
   /// The CA-TPA contribution order (order_by_contribution), cached the
   /// same way.
   [[nodiscard]] std::span<const std::size_t> contribution_order();
+
+  // --- Scheme buffers -------------------------------------------------------
+
+  /// What a scheme fills per task.  Kept by the engine so their capacity
+  /// outlives a run; their contents are scratch that any scheme may
+  /// overwrite.
+  struct SchemeBuffers {
+    std::vector<Candidate> candidates;    ///< one per core
+    std::vector<unsigned char> feasible;  ///< one per core
+    std::vector<ProbeResult> probes;      ///< one per core
+    /// Task groups placed one after the other (Hybrid: high, then low).
+    std::array<std::vector<std::size_t>, 2> groups;
+  };
+
+  /// The scheme buffers; the per-core ones hold num_cores() entries.
+  [[nodiscard]] SchemeBuffers& buffers() noexcept { return buffers_; }
 
   // --- Probes (each call counts one probe toward probes()) ---------------
 
@@ -175,6 +205,11 @@ class PlacementEngine {
   [[nodiscard]] const UtilMatrix& with_task(std::size_t task,
                                             std::size_t core);
 
+  /// The sort of one order: keys into the first buffer, the order into
+  /// the second.
+  using OrderSort = void (*)(const TaskSet&, std::vector<double>&,
+                             std::vector<std::size_t>&);
+
   /// One cached order: the serial of the set it was sorted for (0 = none;
   /// serials start at 1) and its buffer, whose capacity outlives the set.
   /// Keyed on the serial, not the set's address: a recycled trial shell
@@ -185,14 +220,16 @@ class PlacementEngine {
 
     /// The order of `ts`, sorted by `sort` into the buffer unless it
     /// already holds the order of ts's serial.
-    std::span<const std::size_t> of(
-        const TaskSet& ts,
-        void (*sort)(const TaskSet&, std::vector<std::size_t>&));
+    std::span<const std::size_t> of(const TaskSet& ts,
+                                    std::vector<double>& keys,
+                                    OrderSort sort);
   };
 
   std::optional<Partition> partition_;
   CachedOrder max_util_order_;
   CachedOrder contribution_order_;
+  std::vector<double> order_keys_;  ///< sort keys of either order
+  SchemeBuffers buffers_;
   BatchProbeScratch batch_scratch_;
   std::vector<double> batch_util_;  ///< batched new-utilization lane buffer
   std::vector<unsigned char> batch_basic_;  ///< batched Eq. (4) mask buffer

@@ -52,29 +52,51 @@ void order_by_key(const TaskSet& ts, const std::vector<double>& key,
 
 }  // namespace
 
-void order_by_contribution(const TaskSet& ts, std::vector<std::size_t>& out) {
-  const std::vector<Contribution> contribs = utilization_contributions(ts);
-  std::vector<double> key(ts.size());
-  for (const Contribution& c : contribs) key[c.task_index] = c.value;
-  order_by_key(ts, key, out);
+void order_by_contribution(const TaskSet& ts, std::vector<double>& keys,
+                           std::vector<std::size_t>& out) {
+  // C_i = max_k u_i(k) / U(k) (Eqs. 12-13), the value of
+  // utilization_contributions, with each U(k) summed once per set.  The
+  // totals sit past the N keys until the keys are done.
+  const std::size_t n = ts.size();
+  keys.resize(n + ts.num_levels());
+  double* const total = keys.data() + n;
+  for (Level k = 1; k <= ts.num_levels(); ++k) {
+    total[k - 1] = ts.total_util(k);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const McTask& task = ts[i];
+    double c = -1.0;
+    for (Level k = 1; k <= task.level(); ++k) {
+      const double u = total[k - 1];
+      const double v = u <= 0.0 ? 0.0 : task.utilization(k) / u;
+      if (v > c) c = v;
+    }
+    keys[i] = c;
+  }
+  keys.resize(n);
+  order_by_key(ts, keys, out);
 }
 
-void order_by_max_utilization(const TaskSet& ts,
+void order_by_max_utilization(const TaskSet& ts, std::vector<double>& keys,
                               std::vector<std::size_t>& out) {
-  std::vector<double> key(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) key[i] = ts[i].max_utilization();
-  order_by_key(ts, key, out);
+  keys.resize(ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    keys[i] = ts[i].max_utilization();
+  }
+  order_by_key(ts, keys, out);
 }
 
 std::vector<std::size_t> order_by_contribution(const TaskSet& ts) {
+  std::vector<double> keys;
   std::vector<std::size_t> out;
-  order_by_contribution(ts, out);
+  order_by_contribution(ts, keys, out);
   return out;
 }
 
 std::vector<std::size_t> order_by_max_utilization(const TaskSet& ts) {
+  std::vector<double> keys;
   std::vector<std::size_t> out;
-  order_by_max_utilization(ts, out);
+  order_by_max_utilization(ts, keys, out);
   return out;
 }
 

@@ -44,10 +44,12 @@ struct Contribution {
 [[nodiscard]] std::vector<std::size_t> order_by_max_utilization(
     const TaskSet& ts);
 
-/// The same two orders written into `out`, reusing its capacity (the
-/// placement engine keeps one buffer per order across task sets).
-void order_by_contribution(const TaskSet& ts, std::vector<std::size_t>& out);
-void order_by_max_utilization(const TaskSet& ts,
+/// The same two orders written into `out`, with the sort keys in `keys`,
+/// reusing the capacity of both (the placement engine keeps them across
+/// task sets).
+void order_by_contribution(const TaskSet& ts, std::vector<double>& keys,
+                           std::vector<std::size_t>& out);
+void order_by_max_utilization(const TaskSet& ts, std::vector<double>& keys,
                               std::vector<std::size_t>& out);
 
 }  // namespace mcs

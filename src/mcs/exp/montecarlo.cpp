@@ -32,18 +32,21 @@ struct PointSlots {
 };
 
 /// Runs trials [begin, end) of `work` into `local` (one aggregate per
-/// scheme).  One engine + one trial arena per chunk: partition, scratch
-/// matrices, utilization caches, the SoA level-utilization planes, the
-/// batched-probe scratch AND the task-set shells are all recycled across
+/// scheme).  One engine + one trial arena + one metrics scratch per chunk:
+/// partition, scratch matrices, utilization caches, the SoA
+/// level-utilization planes, the batched-probe scratch, the task orders,
+/// the schemes' buffers AND the task-set shells are all recycled across
 /// every trial x scheme of the chunk (reset() / TrialArena re-assign in
-/// place), so the whole trial loop runs allocation-free in the steady state
-/// of a sweep.
+/// place).  In the steady state of a sweep the paper's schemes (WFD, FFD,
+/// BFD, Hybrid, CA-TPA) and the metrics run a trial without a heap
+/// allocation; tests/partition/allocation_free_test holds them to it.
 void run_trials(const PointWork& work, std::uint64_t begin, std::uint64_t end,
                 std::vector<SchemeAggregate>& local) {
   const partition::PartitionerList& schemes = *work.schemes;
   local.resize(schemes.size());
   analysis::PlacementEngine engine;
   gen::TrialArena arena;
+  analysis::MetricsScratch metrics;
   for (std::uint64_t trial = begin; trial < end; ++trial) {
     const TaskSet& ts = arena.generate_trial(*work.params, work.seed, trial);
     for (std::size_t s = 0; s < schemes.size(); ++s) {
@@ -54,8 +57,8 @@ void run_trials(const PointWork& work, std::uint64_t begin, std::uint64_t end,
       agg.probes.add(static_cast<double>(engine.probes()));
       if (!outcome.success) continue;
       ++agg.schedulable;
-      const analysis::PartitionMetrics m =
-          analysis::partition_metrics(engine.partition());
+      const analysis::PartitionMetrics& m =
+          analysis::partition_metrics(engine.partition(), metrics);
       agg.u_sys.add(m.u_sys);
       agg.u_avg.add(m.u_avg);
       agg.imbalance.add(m.imbalance);

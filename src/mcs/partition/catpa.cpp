@@ -100,10 +100,11 @@ PlacementOutcome CaTpaPartitioner::run_on(
       options_.order_by_contribution ? engine.contribution_order()
                                      : engine.max_utilization_order();
 
-  std::vector<analysis::ProbeResult> probes(num_cores);
+  // The per-core vectors are the engine's buffers (sized by reset()).
+  const std::span<analysis::ProbeResult> probes(engine.buffers().probes);
+  const std::span<Candidate> candidates(engine.buffers().candidates);
+  const std::span<unsigned char> feasible(engine.buffers().feasible);
   std::vector<analysis::ProbeResult> repair_probes;  // victims x cores tile
-  std::vector<Candidate> candidates(num_cores);
-  std::vector<unsigned char> feasible(num_cores, 0);
 
   PlacementOutcome outcome;
   for (std::size_t t : order) {

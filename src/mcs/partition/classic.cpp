@@ -16,7 +16,7 @@ std::optional<std::size_t> allocate_with_rule(
                                       ? SelectionRule::kFirstFeasible
                                       : SelectionRule::kMinKey;
   return place_in_order_batched(
-      order, engine.num_cores(), selection,
+      engine, order, selection,
       [&](std::size_t t, std::span<Candidate> candidates,
           std::span<unsigned char> feasible) {
         // One batched Eq. (4)/Theorem-1 accept mask over all cores.

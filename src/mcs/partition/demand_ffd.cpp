@@ -41,8 +41,7 @@ PlacementOutcome DemandFfdPartitioner::run_on(
   // First feasible core wins, so the fill probes cores in index order and
   // stops there; later cores are never probed (or counted).
   outcome.failed_task = place_in_order_batched(
-      engine.max_utilization_order(), engine.num_cores(),
-      SelectionRule::kFirstFeasible,
+      engine, engine.max_utilization_order(), SelectionRule::kFirstFeasible,
       [&](std::size_t t, std::span<Candidate> /*candidates*/,
           std::span<unsigned char> feasible) {
         std::fill(feasible.begin(), feasible.end(),

@@ -19,14 +19,16 @@ PlacementOutcome HybridPartitioner::run_on(
   // level-1 tasks keep it as is: u descending, then index ascending.  The
   // high group takes the levels from the highest down and keeps the order
   // within a level: level descending, then u descending, then index
-  // ascending.
+  // ascending.  The groups live in the engine's buffers, so their capacity
+  // outlives the run.
   const std::span<const std::size_t> order = engine.max_utilization_order();
-  std::vector<std::size_t> low;
+  std::vector<std::size_t>& high = engine.buffers().groups[0];
+  std::vector<std::size_t>& low = engine.buffers().groups[1];
+  high.clear();
+  low.clear();
   for (const std::size_t t : order) {
     if (ts[t].level() == 1) low.push_back(t);
   }
-  std::vector<std::size_t> high;
-  high.reserve(order.size() - low.size());
   for (Level level = ts.num_levels(); level >= 2; --level) {
     for (const std::size_t t : order) {
       if (ts[t].level() == level) high.push_back(t);

@@ -13,6 +13,7 @@
 // analysis::PlacementEngine.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -66,14 +67,9 @@ class Partitioner {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// A feasible placement option for one (task, core) pair as seen by the
-/// shared core-scan: its selection key (lower wins) plus one scheme-specific
-/// datum carried through to the commit step (CA-TPA stores the probed core
-/// utilization so the cache can be updated without re-probing).
-struct Candidate {
-  double key = 0.0;
-  double payload = 0.0;
-};
+/// One core's selection key and payload in the shared core scan (defined
+/// next to the engine that keeps the scan's buffers).
+using analysis::Candidate;
 
 /// The winning core of one scan (kUnassigned when no core was feasible).
 struct CoreChoice {
@@ -103,16 +99,19 @@ enum class SelectionRule {
 /// (writing per-core keys/payloads and the feasibility mask), the result
 /// vector is reduced via reduce_core_choice, and the winner is committed
 /// with `place(task, choice)`.  Returns the first unplaceable task, or
-/// nullopt when every task was placed.
+/// nullopt when every task was placed.  The per-core vectors are the
+/// engine's buffers, cleared on entry.
 template <typename FillFn, typename PlaceFn>
 std::optional<std::size_t> place_in_order_batched(
-    std::span<const std::size_t> order, std::size_t num_cores,
+    analysis::PlacementEngine& engine, std::span<const std::size_t> order,
     SelectionRule rule, FillFn&& fill, PlaceFn&& place) {
-  std::vector<Candidate> candidates(num_cores);
-  std::vector<unsigned char> feasible(num_cores, 0);
+  const std::span<Candidate> candidates(engine.buffers().candidates);
+  const std::span<unsigned char> feasible(engine.buffers().feasible);
+  std::fill(candidates.begin(), candidates.end(), Candidate{});
+  std::fill(feasible.begin(), feasible.end(),
+            static_cast<unsigned char>(0));
   for (const std::size_t t : order) {
-    fill(t, std::span<Candidate>(candidates),
-         std::span<unsigned char>(feasible));
+    fill(t, candidates, feasible);
     const CoreChoice choice =
         reduce_core_choice(candidates, feasible, rule, 0.0);
     if (choice.core == kUnassigned) return t;

@@ -78,7 +78,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
   std::vector<double> diff_load(engine.num_cores(), 0.0);
   PlacementOutcome outcome;
   outcome.failed_task = place_in_order_batched(
-      multi, engine.num_cores(), SelectionRule::kMinKey,
+      engine, multi, SelectionRule::kMinKey,
       [&](std::size_t t, std::span<Candidate> candidates,
           std::span<unsigned char> feasible) {
         gate(t, feasible);
@@ -94,7 +94,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
   // Phase 2: fill remaining LO-mode capacity (worst-fit on Eq. (4) load).
   if (!outcome.failed_task.has_value()) {
     outcome.failed_task = place_in_order_batched(
-        single, engine.num_cores(), SelectionRule::kMinKey,
+        engine, single, SelectionRule::kMinKey,
         [&](std::size_t t, std::span<Candidate> candidates,
             std::span<unsigned char> feasible) {
           gate(t, feasible);

@@ -1,15 +1,16 @@
 // Property test for the 2-D (task x core) batched probe API: across a grid
-// of K in {1, 2, 4} x M in {1, 2, 4, 8, 64} x T in {1, 3, 8, 17}, every row
-// of probe_all_cores_2d must be BITWISE identical to the 1-D batched call
-// for the same task — and, via the 1-D suite's own parity contract, to M
-// scalar probes — on empty, partially filled and churned (commit/relocate
-// interleaved) engine states.
-// T in {1, 3, 17} exercises tile-remainder paths (kBatchProbeTileTasks = 8)
-// and M in {1, 2} exercises the SIMD remainder lanes (AVX2 width 4, SSE2
-// width 2).  Each 2-D call must advance probes() by exactly T x num_cores()
-// (the documented up-front accounting contract), and every forced kernel
-// backend available on the host must reproduce the default backend's
-// utilization lanes bit for bit.
+// of K in {1, 2, 3, 4, 6} x M in {1, 2, 3, 4, 5, 8, 13, 64} x
+// T in {1, 2, 3, 8, 17}, every row of probe_all_cores_2d must be BITWISE
+// identical to the 1-D batched call for the same task — and, via the 1-D
+// suite's own parity contract, to M scalar probes — on empty, partially
+// filled and churned (commit/relocate interleaved) engine states.
+// The kernel takes the tasks two at a time: odd T leaves a last task that
+// runs alone.  M in {1, 2, 3, 5, 13} leaves scalar lanes after the packs
+// (AVX2 width 4, SSE2 width 2).  NoLevelCap adds K = 20 (no fixed cap on
+// the number of levels).  Each 2-D call must advance probes() by exactly
+// T x num_cores() (the documented up-front accounting contract), and every
+// forced kernel backend available on the host must reproduce the default
+// backend's utilization lanes bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -164,23 +165,34 @@ TEST_P(BatchProbe2dProperty, ForcedBackendsAgreeBitwise) {
   ASSERT_TRUE(set_batch_probe_backend("auto"));
 }
 
+std::string grid_name(const ::testing::TestParamInfo<GridParam>& tp) {
+  std::string name = "K";
+  name += std::to_string(std::get<0>(tp.param));
+  name += "_M";
+  name += std::to_string(std::get<1>(tp.param));
+  name += "_T";
+  name += std::to_string(std::get<2>(tp.param));
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, BatchProbe2dProperty,
-    ::testing::Combine(::testing::Values(Level{1}, Level{2}, Level{4}),
+    ::testing::Combine(::testing::Values(Level{1}, Level{2}, Level{3},
+                                         Level{4}, Level{6}),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8},
-                                         std::size_t{64}),
-                       ::testing::Values(std::size_t{1}, std::size_t{3},
-                                         std::size_t{8}, std::size_t{17})),
-    [](const ::testing::TestParamInfo<GridParam>& tp) {
-      std::string name = "K";
-      name += std::to_string(std::get<0>(tp.param));
-      name += "_M";
-      name += std::to_string(std::get<1>(tp.param));
-      name += "_T";
-      name += std::to_string(std::get<2>(tp.param));
-      return name;
-    });
+                                         std::size_t{3}, std::size_t{4},
+                                         std::size_t{5}, std::size_t{8},
+                                         std::size_t{13}, std::size_t{64}),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{8},
+                                         std::size_t{17})),
+    grid_name);
+
+INSTANTIATE_TEST_SUITE_P(NoLevelCap, BatchProbe2dProperty,
+                         ::testing::Values(GridParam{Level{20},
+                                                     std::size_t{13},
+                                                     std::size_t{17}}),
+                         grid_name);
 
 }  // namespace
 }  // namespace mcs::analysis

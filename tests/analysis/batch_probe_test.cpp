@@ -1,10 +1,16 @@
 // Property test for the batched all-cores probe API: across a grid of
-// K in {1, 2, 4} x M in {1, 2, 4, 8, 64} and random task sets,
-// probe_all_cores / probe_fits_all / probe_fits_basic_all must be BITWISE
-// identical to M scalar probes — every ProbeResult field under all three
-// policies and both accept masks — on empty, partially filled and churned
-// (uncommit/relocate) engine states, and each batched call must advance
-// probes() by exactly num_cores() (the documented accounting contract).
+// K in {1, 2, 3, 4, 6} x M in {1, 2, 3, 4, 5, 8, 13, 64}, random task sets
+// and every lane backend the host has, probe_all_cores / probe_fits_all /
+// probe_fits_basic_all must be BITWISE identical to M scalar probes —
+// every ProbeResult field under all three policies and both accept masks —
+// on empty, partially filled and churned (uncommit/relocate) engine
+// states, and each batched call must advance probes() by exactly
+// num_cores() (the documented accounting contract).  The kernel walks the
+// cores in pairs of lane packs, then single packs, then scalar lanes:
+// M in {3, 5, 13} leaves single packs and scalar tails under both AVX2
+// (4 lanes a pack) and SSE2 (2), and 64 runs long walks.  NoLevelCap adds
+// K = 20: the kernel keeps its per-level rows in scratch sized from K,
+// with no fixed cap on the number of levels.
 //
 // With the metrics gate on, one probe_fits_all must also move the
 // placement counters the sweep artifacts' per-point counters are built
@@ -56,6 +62,11 @@ struct Eq4Tally {
 
 class BatchProbeProperty
     : public ::testing::TestWithParam<std::tuple<Level, std::size_t>> {};
+
+/// Puts the runtime-detected lane backend back, however the test ends.
+struct BackendRestore {
+  ~BackendRestore() { set_batch_probe_backend("auto"); }
+};
 
 void expect_batched_matches_scalar(PlacementEngine& engine, std::size_t task,
                                    const char* when, Eq4Tally& tally) {
@@ -131,40 +142,46 @@ TEST_P(BatchProbeProperty, BitIdenticalToScalarProbes) {
   gp.num_levels = K;
   gp.num_tasks = 24;
 
-  // NSU 0.7 fills few cores past Eq. (4) at small M; the overloaded 1.6
-  // workout makes Eq. (4) reject cores there too.
+  // Every lane backend this host runs walks the same workouts.
+  const BackendRestore restore;
   Eq4Tally tally;
-  for (const double nsu : {0.7, 1.6}) {
-    gp.nsu = nsu;
-    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7}}) {
-      const TaskSet ts = gen::generate_trial(gp, seed, 0);
-      PlacementEngine engine(ts, M);
-      gen::Rng rng(gen::derive_seed(seed, 0xB47C));
-      std::vector<std::size_t> core_of(ts.size(), kUnassigned);
+  for (const char* backend : {"avx2", "sse2", "scalar"}) {
+    if (!set_batch_probe_backend(backend)) continue;  // not on this host
+    SCOPED_TRACE(backend);
+    // NSU 0.7 fills few cores past Eq. (4) at small M; the overloaded 1.6
+    // workout makes Eq. (4) reject cores there too.
+    for (const double nsu : {0.7, 1.6}) {
+      gp.nsu = nsu;
+      for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{7}}) {
+        const TaskSet ts = gen::generate_trial(gp, seed, 0);
+        PlacementEngine engine(ts, M);
+        gen::Rng rng(gen::derive_seed(seed, 0xB47C));
+        std::vector<std::size_t> core_of(ts.size(), kUnassigned);
 
-      // Parity on the empty engine, then across a random placement workout
-      // (assignments need not be feasible: the planes must mirror the
-      // matrices regardless of schedulability).
-      expect_batched_matches_scalar(engine, 0, "empty", tally);
-      if (::testing::Test::HasFatalFailure()) return;
-      const std::size_t steps = 2 * ts.size();
-      for (std::size_t step = 0; step < steps; ++step) {
-        const std::size_t t = rng.uniform_int(0, ts.size() - 1);
-        if (core_of[t] == kUnassigned) {
-          const std::size_t m = rng.uniform_int(0, M - 1);
-          engine.commit(t, m);
-          core_of[t] = m;
-        } else if (rng.bernoulli(0.5) && M > 1) {
-          const std::size_t m = rng.uniform_int(0, M - 1);
-          engine.relocate(t, m);
-          core_of[t] = m;
-        } else {
-          engine.uncommit(t);
-          core_of[t] = kUnassigned;
-        }
-        const std::size_t probe_task = rng.uniform_int(0, ts.size() - 1);
-        expect_batched_matches_scalar(engine, probe_task, "workout", tally);
+        // Parity on the empty engine, then across a random placement
+        // workout (assignments need not be feasible: the planes must mirror
+        // the matrices regardless of schedulability).
+        expect_batched_matches_scalar(engine, 0, "empty", tally);
         if (::testing::Test::HasFatalFailure()) return;
+        const std::size_t steps = 2 * ts.size();
+        for (std::size_t step = 0; step < steps; ++step) {
+          const std::size_t t = rng.uniform_int(0, ts.size() - 1);
+          if (core_of[t] == kUnassigned) {
+            const std::size_t m = rng.uniform_int(0, M - 1);
+            engine.commit(t, m);
+            core_of[t] = m;
+          } else if (rng.bernoulli(0.5) && M > 1) {
+            const std::size_t m = rng.uniform_int(0, M - 1);
+            engine.relocate(t, m);
+            core_of[t] = m;
+          } else {
+            engine.uncommit(t);
+            core_of[t] = kUnassigned;
+          }
+          const std::size_t probe_task = rng.uniform_int(0, ts.size() - 1);
+          expect_batched_matches_scalar(engine, probe_task, "workout", tally);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
       }
     }
   }
@@ -176,21 +193,31 @@ TEST_P(BatchProbeProperty, BitIdenticalToScalarProbes) {
   }
 }
 
+std::string grid_name(
+    const ::testing::TestParamInfo<std::tuple<Level, std::size_t>>& tp) {
+  // Built with += rather than operator+ chains: GCC 12's -Wrestrict
+  // misfires on literal-plus-temporary string concatenation at -O2.
+  std::string name = "K";
+  name += std::to_string(std::get<0>(tp.param));
+  name += "_M";
+  name += std::to_string(std::get<1>(tp.param));
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, BatchProbeProperty,
-    ::testing::Combine(::testing::Values(Level{1}, Level{2}, Level{4}),
+    ::testing::Combine(::testing::Values(Level{1}, Level{2}, Level{3},
+                                         Level{4}, Level{6}),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8},
-                                         std::size_t{64})),
-    [](const ::testing::TestParamInfo<std::tuple<Level, std::size_t>>& tp) {
-      // Built with += rather than operator+ chains: GCC 12's -Wrestrict
-      // misfires on literal-plus-temporary string concatenation at -O2.
-      std::string name = "K";
-      name += std::to_string(std::get<0>(tp.param));
-      name += "_M";
-      name += std::to_string(std::get<1>(tp.param));
-      return name;
-    });
+                                         std::size_t{3}, std::size_t{4},
+                                         std::size_t{5}, std::size_t{8},
+                                         std::size_t{13}, std::size_t{64})),
+    grid_name);
+
+INSTANTIATE_TEST_SUITE_P(NoLevelCap, BatchProbeProperty,
+                         ::testing::Values(std::tuple{Level{20},
+                                                      std::size_t{13}}),
+                         grid_name);
 
 }  // namespace
 }  // namespace mcs::analysis

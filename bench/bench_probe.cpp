@@ -1,10 +1,9 @@
 // bench_probe: latency of the batched all-cores placement probe vs. M
-// scalar probes on the same PlacementEngine state, and of the 2-D
-// task x core kernel vs. the 1-D batched loop.
+// scalar probes on the same PlacementEngine state.
 //
 //   bench_probe                  # full run, writes BENCH_probe.json
 //   bench_probe --quick          # CI smoke: fewer sweeps
-//   bench_probe --min-speedup 1.0 --min-speedup-2d 1.0
+//   bench_probe --min-speedup 1.0
 //
 // Workload: K=4 criticality levels on M=8 cores (the paper's default
 // platform), N in {50, 100, 400} tasks.  Half the tasks are committed
@@ -13,20 +12,15 @@
 // the inner loop of CA-TPA's placement scan — with the default
 // min-over-feasible policy.  The scalar side issues M individual
 // PlacementEngine::probe calls per task; the batched side one
-// probe_all_cores call per task; the 2-D side ONE probe_all_cores_2d call
-// over the whole probe list per sweep — the partitioner-scan shape, where
-// the kernel runs two tasks per lane-pack step and pays its per-call
-// set-up once.  All sides fold the same checksum over the results in the
-// same (task, core) order, so the work cannot be optimized away and any
-// divergence is caught.
+// probe_all_cores call per task.  Both sides fold the same checksum over
+// the results in the same (task, core) order, so the work cannot be
+// optimized away and any divergence is caught.
 //
 // Before timing, every probed task is checked bit-identical between the
 // scalar and batched paths (feasible flag, new_util, increment, both
-// accept masks), and the 2-D grid rows are checksum-gated bitwise against
-// the 1-D batched fold, so a published speedup can never come from a
-// divergent kernel.  Exit is nonzero when the aggregate batched/scalar
-// throughput ratio falls below --min-speedup, or the aggregate 2-D/1-D
-// ratio below --min-speedup-2d (per-size times at the small end are
+// accept masks), so a published speedup can never come from a divergent
+// kernel.  Exit is nonzero when the aggregate batched/scalar throughput
+// ratio falls below --min-speedup (per-size times at the small end are
 // microseconds and too noisy to gate on individually).
 //
 // The emitted JSON carries a "gate_tolerances" object consumed by
@@ -141,21 +135,17 @@ struct ProbeRun {
 struct ProbeRuns {
   ProbeRun scalar;
   ProbeRun batched;
-  ProbeRun batched2d;
 };
 
-/// The three probe paths over `sweeps` full probe passes, timed by one
-/// interleaved best-of-`reps` loop: M scalar probes per task, one
-/// probe_all_cores call per task, and one probe_all_cores_2d call over the
-/// whole probe list (the partitioner-scan shape).  Every path folds its
-/// results in the same (task, core) order, so the three checksums must be
-/// bit-identical.
+/// The two probe paths over `sweeps` full probe passes, timed by one
+/// interleaved best-of-`reps` loop: M scalar probes per task, and one
+/// probe_all_cores call per task.  Both paths fold their results in the
+/// same (task, core) order, so the two checksums must be bit-identical.
 ProbeRuns time_probe_paths(analysis::PlacementEngine& engine,
                            const std::vector<std::size_t>& tasks,
                            std::size_t sweeps, std::size_t reps) {
   constexpr auto kPolicy = analysis::ProbePolicy::kMinOverFeasible;
   std::vector<analysis::ProbeResult> out(kCores);
-  std::vector<analysis::ProbeResult> grid(tasks.size() * kCores);
   const auto scalar_pass = [&] {
     double checksum = 0.0;
     for (std::size_t s = 0; s < sweeps; ++s) {
@@ -180,28 +170,15 @@ ProbeRuns time_probe_paths(analysis::PlacementEngine& engine,
     }
     return checksum;
   };
-  const auto pass_2d = [&] {
-    double checksum = 0.0;
-    for (std::size_t s = 0; s < sweeps; ++s) {
-      engine.probe_all_cores_2d(tasks, kPolicy, grid);
-      for (const analysis::ProbeResult& r : grid) {
-        if (r.feasible) checksum += r.new_util;
-      }
-    }
-    return checksum;
-  };
-  std::array<double, 3> checksums{};
-  const std::array<double, 3> seconds =
-      bench::best_interleaved_seconds<3>(reps, [&](std::size_t path) {
-        checksums[path] = path == 0   ? scalar_pass()
-                          : path == 1 ? batched_pass()
-                                      : pass_2d();
+  std::array<double, 2> checksums{};
+  const std::array<double, 2> seconds =
+      bench::best_interleaved_seconds<2>(reps, [&](std::size_t path) {
+        checksums[path] = path == 0 ? scalar_pass() : batched_pass();
       });
   const auto probes =
       static_cast<std::uint64_t>(sweeps * tasks.size() * kCores);
   return {{seconds[0], probes, checksums[0]},
-          {seconds[1], probes, checksums[1]},
-          {seconds[2], probes, checksums[2]}};
+          {seconds[1], probes, checksums[1]}};
 }
 
 util::Json num(double value, int precision = 6) {
@@ -222,9 +199,6 @@ int main(int argc, char** argv) {
          {"min-speedup",
           "fail (exit 1) when the aggregate batched/scalar probe-throughput "
           "ratio falls below this (default 1.0)"},
-         {"min-speedup-2d",
-          "fail (exit 1) when the aggregate 2-D/1-D-batched throughput "
-          "ratio falls below this (default 1.0)"},
          {"sweeps", "probe passes per timed repetition (default 200)"}});
     if (cli.help_requested()) {
       std::cout << cli.usage("bench_probe");
@@ -234,7 +208,6 @@ int main(int argc, char** argv) {
     const std::string out_path =
         cli.get_or("out", std::string("BENCH_probe.json"));
     const double min_speedup = cli.get_or("min-speedup", 1.0);
-    const double min_speedup_2d = cli.get_or("min-speedup-2d", 1.0);
     const std::size_t sweeps = static_cast<std::size_t>(
         cli.get_or("sweeps", quick ? std::uint64_t{20} : std::uint64_t{200}));
     // Best of 5 interleaved rounds in both modes: the committed baseline is
@@ -254,11 +227,10 @@ int main(int argc, char** argv) {
     doc.set("quick", util::Json::boolean(quick));
     util::Json rows = util::Json::array();
 
-    util::Table table({"tasks", "probes", "scalar ns/p", "1d ns/p",
-                       "2d ns/p", "speedup", "speedup 2d"});
+    util::Table table(
+        {"tasks", "probes", "scalar ns/p", "batched ns/p", "speedup"});
     double scalar_total_s = 0.0;
     double batched_total_s = 0.0;
-    double batched2d_total_s = 0.0;
 
     for (const std::size_t n : sizes) {
       const Workload w = make_workload(n);
@@ -272,33 +244,23 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      const auto [scalar, batched, batched2d] =
+      const auto [scalar, batched] =
           time_probe_paths(engine, w.probe_tasks, sweeps, reps);
       if (!bits_equal(scalar.checksum, batched.checksum)) {
         std::cerr << "bench_probe: checksum divergence at N=" << n << "\n";
         return 1;
       }
-      if (!bits_equal(batched.checksum, batched2d.checksum)) {
-        std::cerr << "bench_probe: 2-D checksum divergence at N=" << n
-                  << "\n";
-        return 1;
-      }
       const double speedup =
           batched.seconds > 0.0 ? scalar.seconds / batched.seconds : 0.0;
-      const double speedup_2d =
-          batched2d.seconds > 0.0 ? batched.seconds / batched2d.seconds : 0.0;
       scalar_total_s += scalar.seconds;
       batched_total_s += batched.seconds;
-      batched2d_total_s += batched2d.seconds;
 
       table.begin_row();
       table.add_cell(n);
       table.add_cell(static_cast<std::size_t>(scalar.probes));
       table.add_cell(scalar.ns_per_probe(), 1);
       table.add_cell(batched.ns_per_probe(), 1);
-      table.add_cell(batched2d.ns_per_probe(), 1);
       table.add_cell(speedup, 2);
-      table.add_cell(speedup_2d, 2);
 
       util::Json row = util::Json::object();
       row.set("tasks", util::Json::number(std::uint64_t{n}));
@@ -311,32 +273,22 @@ int main(int argc, char** argv) {
       batched_json.set("seconds", num(batched.seconds));
       batched_json.set("ns_per_probe", num(batched.ns_per_probe()));
       row.set("batched", std::move(batched_json));
-      util::Json batched2d_json = util::Json::object();
-      batched2d_json.set("seconds", num(batched2d.seconds));
-      batched2d_json.set("ns_per_probe", num(batched2d.ns_per_probe()));
-      row.set("batched2d", std::move(batched2d_json));
       row.set("speedup", num(speedup));
-      row.set("speedup_2d", num(speedup_2d));
       rows.push(std::move(row));
     }
     doc.set("sizes", std::move(rows));
     const double aggregate =
         batched_total_s > 0.0 ? scalar_total_s / batched_total_s : 0.0;
     doc.set("aggregate_speedup", num(aggregate));
-    const double aggregate_2d =
-        batched2d_total_s > 0.0 ? batched_total_s / batched2d_total_s : 0.0;
-    doc.set("aggregate_speedup_2d", num(aggregate_2d));
 
     // Per-ratio regression-gate tolerances, read by
-    // tools/check_bench_regression.py: the aggregates are the stable
-    // headline numbers, while the N=50 sweeps finish in microseconds and
+    // tools/check_bench_regression.py: the aggregate is the stable
+    // headline number, while the N=50 sweeps finish in microseconds and
     // need a looser floor on shared CI runners.
     util::Json tol = util::Json::object();
     tol.set("default", num(0.25));
     tol.set("aggregate", num(0.20));
-    tol.set("aggregate/2d", num(0.20));
     tol.set("tasks=50", num(0.35));
-    tol.set("tasks=50/2d", num(0.35));
     doc.set("gate_tolerances", std::move(tol));
 
     // Disabled-tracing overhead gate: probe_all_cores carries one ScopedSpan
@@ -363,8 +315,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
     std::cout << "\naggregate speedup (total scalar s / total batched s): "
               << aggregate << "\n";
-    std::cout << "aggregate 2-D speedup (total 1-D s / total 2-D s): "
-              << aggregate_2d << "\n";
     std::cout << "disabled span: " << span_ns << " ns ("
               << overhead_pct << "% of a batched probe call)\n";
     std::ofstream out(out_path);
@@ -378,12 +328,6 @@ int main(int argc, char** argv) {
     if (aggregate < min_speedup) {
       std::cerr << "bench_probe: throughput regression: aggregate speedup "
                 << aggregate << " < required " << min_speedup << "\n";
-      return 1;
-    }
-    if (aggregate_2d < min_speedup_2d) {
-      std::cerr << "bench_probe: throughput regression: aggregate 2-D "
-                << "speedup " << aggregate_2d << " < required "
-                << min_speedup_2d << "\n";
       return 1;
     }
     if (overhead_pct > 1.0) {

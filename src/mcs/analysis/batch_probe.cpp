@@ -45,12 +45,15 @@ const KernelTable*& active_table() noexcept {
 }
 
 }  // namespace
+
+const KernelTable& scalar_kernels() noexcept { return base::scalar_table(); }
+
 }  // namespace batch_kernel
 
 void BatchProbeScratch::resize(Level num_levels) {
   levels = num_levels;
   const std::size_t K = num_levels;
-  tu.assign(2 * K, 0.0);
+  tu.assign(K, 0.0);
   theta.assign(K > 0 ? (K - 1) * kStepLanes : 0, 0.0);
 }
 
@@ -81,27 +84,18 @@ bool set_batch_probe_backend(std::string_view name) noexcept {
 void batch_core_utilization(const LevelUtilPlanes& planes, const McTask& task,
                             ProbePolicy policy, BatchProbeScratch& scratch,
                             double* out_util) {
-  batch_kernel::active_table()->util_1d(planes, task, policy, scratch,
-                                        out_util);
+  batch_kernel::active_table()->util(planes, task, policy, scratch, out_util);
 }
 
 void batch_fits(const LevelUtilPlanes& planes, const McTask& task,
                 BatchProbeScratch& scratch, std::uint8_t* basic,
                 std::uint8_t* fits) {
-  batch_kernel::active_table()->fits_1d(planes, task, scratch, basic, fits);
+  batch_kernel::active_table()->fits(planes, task, scratch, basic, fits);
 }
 
 void batch_fits_basic(const LevelUtilPlanes& planes, const McTask& task,
                       BatchProbeScratch& scratch, std::uint8_t* basic) {
-  batch_kernel::active_table()->fits_basic_1d(planes, task, scratch, basic);
-}
-
-void batch_core_utilization_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                               std::span<const std::size_t> tasks,
-                               ProbePolicy policy, BatchProbeScratch& scratch,
-                               double* out_util) {
-  batch_kernel::active_table()->util_2d(planes, ts, tasks.data(), tasks.size(),
-                                        policy, scratch, out_util);
+  batch_kernel::active_table()->fits_basic(planes, task, scratch, basic);
 }
 
 }  // namespace mcs::analysis

@@ -1,22 +1,16 @@
-// Batched probe kernels over struct-of-arrays planes: 1-D (one task, all
-// cores) and 2-D (a list of tasks x all cores).
+// Batched probe kernels over struct-of-arrays planes: one task, all cores.
 //
-// 1-D: evaluates "what if task tau_i joined core m" for every core m in one
-// pass over the planes, with no per-core virtual calls or matrix copies.
-// The hypothetical core is formed where it is loaded, H(j, k) = plane(j, k)
-// + u_t(k) on the task's own level, and u_t(k) is read once per call.  The
-// pass is pack-major (batch_probe_impl.hpp): it walks the cores in lane
-// packs and runs the whole Eq. (4) / Theorem 1 / Eq. (9) computation of a
-// pack with the levels as the inner loop, so a lane's state stays in
-// registers.  The scalar code's data-dependent `break`s (invalid lambda_j,
-// first feasible k) become monotone per-lane masks and exact selects.
-// batch_fits skips Theorem 1 for every pack whose lanes all pass Eq. (4).
-//
-// 2-D: evaluates the core utilization of T candidate tasks against all M
-// cores in one call.  It takes the tasks two at a time and runs each lane
-// pack of both in one step, so their two division chains overlap.  Output
-// is task-major: row t (length M) is task tasks[t] against every core,
-// bit-identical to the corresponding 1-D call.
+// Each kernel evaluates "what if task tau_i joined core m" for every core m
+// in one pass over the planes, with no per-core virtual calls or matrix
+// copies.  The hypothetical core is formed where it is loaded, H(j, k) =
+// plane(j, k) + u_t(k) on the task's own level, and u_t(k) is read once per
+// call.  The pass is pack-major (batch_probe_impl.hpp): it walks the cores
+// in lane packs and runs the whole Eq. (4) / Theorem 1 / Eq. (9)
+// computation of a pack with the levels as the inner loop, so a lane's
+// state stays in registers.  The scalar code's data-dependent `break`s
+// (invalid lambda_j, first feasible k) become monotone per-lane masks and
+// exact selects.  batch_fits skips Theorem 1 for every pack whose lanes all
+// pass Eq. (4).
 //
 // Every pass is written once against lane_ops.hpp (AVX2/SSE2/scalar).
 // Backends are selected per translation unit at compile time and upgraded
@@ -27,23 +21,22 @@
 // Bit-identity contract: every floating-point operation that contributes to
 // a lane's result is the same operation, in the same order, as the scalar
 // path (improved_test + core_utilization on a UtilMatrix with the task
-// added) — on every backend, at every lane and task position.  Masked-out
-// lanes may evaluate extra arithmetic — including divisions whose IEEE
-// inf/NaN results are discarded by the selects — but a live lane's value
-// stream is identical, so ProbeResults and accept masks match the scalar
-// API bit for bit (enforced by tests/analysis/batch_probe_test,
-// batch_probe_2d_test and the probe-parity fuzz target).
+// added) — on every backend, at every lane position.  Masked-out lanes may
+// evaluate extra arithmetic — including divisions whose IEEE inf/NaN
+// results are discarded by the selects — but a live lane's value stream is
+// identical, so ProbeResults and accept masks match the scalar API bit for
+// bit (enforced by tests/analysis/batch_probe_test and the
+// probe-parity fuzz target).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "mcs/analysis/core_util.hpp"
 #include "mcs/core/soa_planes.hpp"
-#include "mcs/core/taskset.hpp"
+#include "mcs/core/task.hpp"
 
 namespace mcs::analysis {
 
@@ -57,13 +50,11 @@ inline constexpr std::size_t kStepLanes = 8;
 struct BatchProbeScratch {
   void resize(Level num_levels);
 
-  std::vector<double> tu;     ///< u_t(1..K) of a step's two tasks, 2 x K
+  std::vector<double> tu;     ///< u_t(1..K) of the probed task
   std::vector<double> theta;  ///< theta(k) rows of a step, (K-1) x kStepLanes
 
   Level levels = 0;
 };
-
-// --- 1-D: one task, all cores ----------------------------------------------
 
 /// Batched core_utilization: out_util[m] = U^{Psi_m + {tau}} folded per
 /// `policy`, +infinity where the improved test rejects — bit-identical to
@@ -85,17 +76,6 @@ void batch_fits(const LevelUtilPlanes& planes, const McTask& task,
 void batch_fits_basic(const LevelUtilPlanes& planes, const McTask& task,
                       BatchProbeScratch& scratch, std::uint8_t* basic);
 
-// --- 2-D: a tile of tasks, all cores ----------------------------------------
-
-/// 2-D batch_core_utilization over `tasks` (indices into `ts`): out_util is
-/// task-major, row t = tasks.size() consecutive M-lane rows; row t is
-/// bit-identical to batch_core_utilization(planes, ts[tasks[t]], ...).
-/// `out_util` must hold tasks.size() * planes.num_cores() doubles.
-void batch_core_utilization_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-                               std::span<const std::size_t> tasks,
-                               ProbePolicy policy, BatchProbeScratch& scratch,
-                               double* out_util);
-
 // --- Backend selection -------------------------------------------------------
 
 /// Name of the lane backend the batched kernels currently run on:
@@ -113,18 +93,23 @@ namespace batch_kernel {
 
 /// One ISA instantiation of the kernel set (internal dispatch plumbing;
 /// exposed so the per-ISA translation units can hand their tables to the
-/// dispatcher in batch_probe.cpp).
+/// dispatcher in batch_probe.cpp).  The entries have the signatures of
+/// batch_core_utilization, batch_fits and batch_fits_basic.
 struct KernelTable {
-  void (*util_1d)(const LevelUtilPlanes&, const McTask&, ProbePolicy,
-                  BatchProbeScratch&, double*);
-  void (*fits_1d)(const LevelUtilPlanes&, const McTask&, BatchProbeScratch&,
-                  std::uint8_t*, std::uint8_t*);
-  void (*fits_basic_1d)(const LevelUtilPlanes&, const McTask&,
-                        BatchProbeScratch&, std::uint8_t*);
-  void (*util_2d)(const LevelUtilPlanes&, const TaskSet&, const std::size_t*,
-                  std::size_t, ProbePolicy, BatchProbeScratch&, double*);
+  void (*util)(const LevelUtilPlanes&, const McTask&, ProbePolicy,
+               BatchProbeScratch&, double*);
+  void (*fits)(const LevelUtilPlanes&, const McTask&, BatchProbeScratch&,
+               std::uint8_t*, std::uint8_t*);
+  void (*fits_basic)(const LevelUtilPlanes&, const McTask&, BatchProbeScratch&,
+                     std::uint8_t*);
   const char* backend;
 };
+
+/// The kernels on the ScalarOps reference backend, whatever backend is
+/// active: a checker diffs the active backend against them without the
+/// process-wide switch of set_batch_probe_backend, so it may run on many
+/// threads at once.
+[[nodiscard]] const KernelTable& scalar_kernels() noexcept;
 
 }  // namespace batch_kernel
 

@@ -10,16 +10,13 @@
 // Pack-major: a kernel walks the core lanes in steps, and one step runs the
 // whole Eq. (4) / Theorem 1 / Eq. (9) computation with the levels as its
 // inner loop, so a lane's state stays in registers from the first level to
-// the writeback.  A step holds one or two Units, each one lane pack of one
-// task's hypothetical core; two Units have independent division chains:
-//   * 1-D: two DefaultOps packs of the task while two fit, then one pack,
-//     then ScalarOps lanes;
-//   * 2-D: one pack of two of the call's tasks, then ScalarOps lanes of the
-//     same two; an odd last task takes the 1-D walk.
-// Only theta(k) goes through memory (BatchProbeScratch): it is built from
-// the top level down and read from the bottom up.
+// the writeback.  A step holds one or two Units, each one lane pack of the
+// task's hypothetical core: two DefaultOps packs while two fit (their
+// division chains are independent, so they overlap), then one pack, then
+// ScalarOps lanes.  Only theta(k) goes through memory (BatchProbeScratch):
+// it is built from the top level down and read from the bottom up.
 //
-// The three lane walks are labelled "simd loop: <name>";
+// The two pack walks are labelled "simd loop: <name>";
 // tools/check_vectorization.sh requires the labels and checks the packed
 // machine code of both TUs.
 //
@@ -54,20 +51,18 @@ static_assert(2 * lanes::DefaultOps::kWidth <= kStepLanes,
 #define MCS_STEP_INLINE inline
 #endif
 
-/// One task of a step: its u_t(k), read once per call, and the output slot
-/// of core lane 0.
+/// The probed task: its u_t(k), read once per call.
 struct TaskRef {
   const double* tu;  ///< u_t(1..l_t) at tu[0..l_t-1]
   Level level;       ///< l_t
-  std::size_t out;
 };
 
-TaskRef load_task(const McTask& task, double* tu, std::size_t out) {
+TaskRef load_task(const McTask& task, double* tu) {
   for (Level k = 1; k <= task.level(); ++k) tu[k - 1] = task.utilization(k);
-  return {tu, task.level(), out};
+  return {tu, task.level()};
 }
 
-/// One lane pack of one task's hypothetical core, with its Theorem-1 state.
+/// One lane pack of the task's hypothetical core, with its Theorem-1 state.
 template <class L>
 struct Unit {
   using Pack = typename L::Pack;
@@ -82,7 +77,6 @@ struct Unit {
     const Pack v = L::load(planes->plane(j, k) + m);
     return j == task.level ? L::add(v, L::broadcast(task.tu[k - 1])) : v;
   }
-  [[nodiscard]] std::size_t slot() const { return task.out + m; }
 
   const LevelUtilPlanes* planes;
   TaskRef task;
@@ -231,7 +225,7 @@ struct UtilStep {
       // Same K == 1 fast path as core_utilization(): report U_1(1) exactly.
       const auto plain_edf = [&](const Unit<L>& s) {
         const Pack u11 = s.h(1, 1);
-        L::store(out + s.slot(),
+        L::store(out + s.m,
                  L::blend(L::cmp_le(u11, L::broadcast(1.0)), u11, inf));
       };
       plain_edf(a);
@@ -246,7 +240,7 @@ struct UtilStep {
       } else {
         util = L::blend(s.found, s.best, inf);
       }
-      L::store(out + s.slot(), L::blend(s.sched, util, inf));
+      L::store(out + s.m, L::blend(s.sched, util, inf));
     };
     store(a);
     (store(rest), ...);
@@ -277,11 +271,11 @@ struct FitsStep {
       settle(b);
       return;
     }
-    store_mask<L>(basic + a.slot(), a.sched);
-    store_mask<L>(basic + b.slot(), b.sched);
+    store_mask<L>(basic + a.m, a.sched);
+    store_mask<L>(basic + b.m, b.sched);
     theorem1<L, true, ProbePolicy::kMinOverFeasible>(K, a, b);
-    store_mask<L>(fits + a.slot(), a.sched);
-    store_mask<L>(fits + b.slot(), b.sched);
+    store_mask<L>(fits + a.m, a.sched);
+    store_mask<L>(fits + b.m, b.sched);
   }
 
  private:
@@ -289,11 +283,11 @@ struct FitsStep {
   /// unless Eq. (4) accepted every lane.
   template <class L>
   MCS_STEP_INLINE void settle(Unit<L>& a) const {
-    store_mask<L>(basic + a.slot(), a.sched);
+    store_mask<L>(basic + a.m, a.sched);
     if (K >= 2 && !all_set<L>(a.sched)) {
       theorem1<L, true, ProbePolicy::kMinOverFeasible>(K, a);
     }
-    store_mask<L>(fits + a.slot(), a.sched);
+    store_mask<L>(fits + a.m, a.sched);
   }
 };
 
@@ -304,14 +298,14 @@ struct BasicStep {
 
   template <class L, class... U>
   MCS_STEP_INLINE void operator()(Unit<L>& a, U&... rest) const {
-    store_mask<L>(basic + a.slot(), eq4(a, K));
-    (store_mask<L>(basic + rest.slot(), eq4(rest, K)), ...);
+    store_mask<L>(basic + a.m, eq4(a, K));
+    (store_mask<L>(basic + rest.m, eq4(rest, K)), ...);
   }
 };
 
 // --- Lane walks --------------------------------------------------------------
 
-/// The 1-D lane walk of one task.
+/// The lane walk of one task.
 template <class Ops, class Step>
 void walk_task(const LevelUtilPlanes& planes, const TaskRef& task,
                double* theta, const Step& step) {
@@ -331,26 +325,6 @@ void walk_task(const LevelUtilPlanes& planes, const TaskRef& task,
   for (; m < M; ++m) {
     Unit<ScalarOps> a(planes, task, m, theta);
     step(a);
-  }
-}
-
-/// The 2-D lane walk of two tasks: each step holds the same pack of both.
-template <class Ops, class Step>
-void walk_task_pair(const LevelUtilPlanes& planes, const TaskRef& first,
-                    const TaskRef& second, double* theta, const Step& step) {
-  constexpr std::size_t W = Ops::kWidth;
-  const std::size_t M = planes.num_cores();
-  const std::size_t rows = planes.num_levels() - 1;
-  std::size_t m = 0;
-  for (; m + W <= M; m += W) {  // simd loop: task pairs
-    Unit<Ops> a(planes, first, m, theta);
-    Unit<Ops> b(planes, second, m, theta + rows * W);
-    step(a, b);
-  }
-  for (; m < M; ++m) {
-    Unit<ScalarOps> a(planes, first, m, theta);
-    Unit<ScalarOps> b(planes, second, m, theta + rows);
-    step(a, b);
   }
 }
 
@@ -376,10 +350,10 @@ void ensure_scratch(const LevelUtilPlanes& planes, BatchProbeScratch& s) {
 // --- KernelTable entry points ------------------------------------------------
 
 template <class Ops>
-void util_1d(const LevelUtilPlanes& planes, const McTask& task,
-             ProbePolicy policy, BatchProbeScratch& s, double* out_util) {
+void util_all(const LevelUtilPlanes& planes, const McTask& task,
+              ProbePolicy policy, BatchProbeScratch& s, double* out_util) {
   ensure_scratch(planes, s);
-  const TaskRef t = load_task(task, s.tu.data(), 0);
+  const TaskRef t = load_task(task, s.tu.data());
   with_policy(policy, [&]<ProbePolicy P>() {
     walk_task<Ops>(planes, t, s.theta.data(),
                    UtilStep<P>{planes.num_levels(), out_util});
@@ -387,48 +361,25 @@ void util_1d(const LevelUtilPlanes& planes, const McTask& task,
 }
 
 template <class Ops>
-void fits_1d(const LevelUtilPlanes& planes, const McTask& task,
-             BatchProbeScratch& s, std::uint8_t* basic, std::uint8_t* fits) {
+void fits_all(const LevelUtilPlanes& planes, const McTask& task,
+              BatchProbeScratch& s, std::uint8_t* basic, std::uint8_t* fits) {
   ensure_scratch(planes, s);
-  walk_task<Ops>(planes, load_task(task, s.tu.data(), 0), s.theta.data(),
+  walk_task<Ops>(planes, load_task(task, s.tu.data()), s.theta.data(),
                  FitsStep{planes.num_levels(), basic, fits});
 }
 
 template <class Ops>
-void fits_basic_1d(const LevelUtilPlanes& planes, const McTask& task,
-                   BatchProbeScratch& s, std::uint8_t* basic) {
+void fits_basic_all(const LevelUtilPlanes& planes, const McTask& task,
+                    BatchProbeScratch& s, std::uint8_t* basic) {
   ensure_scratch(planes, s);
-  walk_task<Ops>(planes, load_task(task, s.tu.data(), 0), s.theta.data(),
+  walk_task<Ops>(planes, load_task(task, s.tu.data()), s.theta.data(),
                  BasicStep{planes.num_levels(), basic});
 }
 
 template <class Ops>
-void util_2d(const LevelUtilPlanes& planes, const TaskSet& ts,
-             const std::size_t* tasks, std::size_t T, ProbePolicy policy,
-             BatchProbeScratch& s, double* out_util) {
-  ensure_scratch(planes, s);
-  const Level K = planes.num_levels();
-  const std::size_t M = planes.num_cores();
-  with_policy(policy, [&]<ProbePolicy P>() {
-    const UtilStep<P> step{K, out_util};
-    std::size_t t = 0;
-    for (; t + 2 <= T; t += 2) {
-      const TaskRef a = load_task(ts[tasks[t]], s.tu.data(), t * M);
-      const TaskRef b =
-          load_task(ts[tasks[t + 1]], s.tu.data() + K, (t + 1) * M);
-      walk_task_pair<Ops>(planes, a, b, s.theta.data(), step);
-    }
-    if (t < T) {
-      walk_task<Ops>(planes, load_task(ts[tasks[t]], s.tu.data(), t * M),
-                     s.theta.data(), step);
-    }
-  });
-}
-
-template <class Ops>
 const KernelTable& table_for(const char* backend) {
-  static const KernelTable t{util_1d<Ops>, fits_1d<Ops>, fits_basic_1d<Ops>,
-                             util_2d<Ops>, backend};
+  static const KernelTable t{util_all<Ops>, fits_all<Ops>,
+                             fits_basic_all<Ops>, backend};
   return t;
 }
 

@@ -25,8 +25,6 @@ constexpr obs::TraceSite kFitsAllSite{"analysis.probe_fits_all", "task",
                                       "cores"};
 constexpr obs::TraceSite kFitsBasicAllSite{"analysis.probe_fits_basic_all",
                                            "task", "cores"};
-constexpr obs::TraceSite kProbe2dSite{"analysis.probe_all_cores_2d", "tasks",
-                                      "cores"};
 constexpr obs::TraceSite kCommitSite{"analysis.commit", "task", "core"};
 constexpr obs::TraceSite kUncommitSite{"analysis.uncommit", "task", "core"};
 constexpr obs::TraceSite kRelocateSite{"analysis.relocate", "task", "from",
@@ -180,36 +178,6 @@ void PlacementEngine::probe_fits_basic_all(std::size_t task,
   g_probes.add(cores);
   batch_fits_basic(partition_->planes(), taskset()[task], batch_scratch_,
                    out.data());
-}
-
-void PlacementEngine::probe_all_cores_2d(std::span<const std::size_t> tasks,
-                                         ProbePolicy policy,
-                                         std::span<ProbeResult> out) {
-  const std::size_t cores = num_cores();
-  const std::size_t T = tasks.size();
-  assert(out.size() == T * cores &&
-         "probe_all_cores_2d: out must span tasks x cores");
-  const obs::ScopedSpan span(kProbe2dSite, T, cores);
-  // One 2-D call == tasks.size() * num_cores() probes: the T 1-D all-cores
-  // scans it replaces, charged up front.
-  probes_ += T * cores;
-  g_probes.add(T * cores);
-  if (batch_util_.size() < T * cores) batch_util_.resize(T * cores);
-  batch_core_utilization_2d(partition_->planes(), taskset(), tasks, policy,
-                            batch_scratch_, batch_util_.data());
-  std::uint64_t infeasible = 0;
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t m = 0; m < cores; ++m) {
-      const double new_util = batch_util_[t * cores + m];
-      ProbeResult r;
-      r.feasible = new_util != kInf;
-      r.new_util = new_util;
-      r.increment = r.feasible ? new_util - util_[m] : kInf;
-      if (!r.feasible) ++infeasible;
-      out[t * cores + m] = r;
-    }
-  }
-  g_probes_infeasible.add(infeasible);
 }
 
 void PlacementEngine::commit(std::size_t task, std::size_t core) {

@@ -149,17 +149,6 @@ class PlacementEngine {
   /// out.size() must equal num_cores().  Counts num_cores() probes.
   void probe_fits_basic_all(std::size_t task, std::span<unsigned char> out);
 
-  // --- 2-D batched probe (each call counts tasks.size() * num_cores()
-  // probes — the T 1-D scans it replaces, charged up front regardless of
-  // how the caller consumes the tile) -------------------------------------
-
-  /// Evaluates probe(t, m, policy) for every task t in `tasks` and every
-  /// core m in one task-major tiled pass.  out.size() must equal
-  /// tasks.size() * num_cores(); row t (out[t * num_cores() + m]) is
-  /// bit-identical to the 1-D probe_all_cores(tasks[t], ...) row.
-  void probe_all_cores_2d(std::span<const std::size_t> tasks,
-                          ProbePolicy policy, std::span<ProbeResult> out);
-
   /// Counts one probe for schemes whose feasibility test lives outside the
   /// utilization framework (DBF, AMC-rtb response times).
   void count_probe() noexcept { ++probes_; }

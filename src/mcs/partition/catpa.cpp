@@ -44,16 +44,14 @@ namespace {
 /// left exactly as it was — tentative moves go through relocate(), which
 /// does not touch the cache.
 ///
-/// The victims-vs-all-refuges rescan is one 2-D batched probe per dest: no
-/// core's state changes between the historical scalar refuge probes (every
-/// tentative relocate is rolled back before the next attempt), so probing
-/// every (victim, refuge) pair of the dest up front against the loop-entry
-/// state yields bit-identical ProbeResults — row v of the tile is exactly
-/// the 1-D all-cores probe of victim v.  The task-on-dest re-probe stays
+/// The victims' refuge scans are batched per dest: no core's state changes
+/// between the historical scalar refuge probes (every tentative relocate is
+/// rolled back before the next attempt), so probing every victim of the
+/// dest against all cores up front, one probe_all_cores call per victim,
+/// yields bit-identical ProbeResults.  The task-on-dest re-probe stays
 /// scalar — it runs against a partition that genuinely differs per attempt.
-/// Accounting: the 2-D call charges members x cores probes up front, even
-/// when a repair succeeds partway through the tile (the T x M rule; see
-/// placement.hpp).
+/// Accounting: each dest charges members x cores probes before its victim
+/// loop, even when a repair succeeds partway through it.
 bool try_repair(analysis::PlacementEngine& engine, std::size_t task,
                 analysis::ProbePolicy policy,
                 std::vector<analysis::ProbeResult>& probes) {
@@ -64,8 +62,10 @@ bool try_repair(analysis::PlacementEngine& engine, std::size_t task,
     const std::vector<std::size_t> members = engine.partition().tasks_on(dest);
     if (members.empty()) continue;
     probes.resize(members.size() * cores);
-    engine.probe_all_cores_2d(members, policy,
-                              std::span<analysis::ProbeResult>(probes));
+    for (std::size_t v = 0; v < members.size(); ++v) {
+      engine.probe_all_cores(members[v], policy,
+                             std::span(probes).subspan(v * cores, cores));
+    }
     for (std::size_t v = 0; v < members.size(); ++v) {
       const std::size_t victim = members[v];
       const analysis::ProbeResult* victim_row = probes.data() + v * cores;

@@ -595,6 +595,38 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+constexpr analysis::ProbePolicy kPolicies[] = {
+    analysis::ProbePolicy::kFirstFeasible,
+    analysis::ProbePolicy::kMinOverFeasible,
+    analysis::ProbePolicy::kMaxOverFeasible};
+
+/// The public batched kernels, which run on the active backend.
+constexpr analysis::batch_kernel::KernelTable kActiveKernels{
+    analysis::batch_core_utilization, analysis::batch_fits,
+    analysis::batch_fits_basic, "active"};
+
+/// What a kernel table returns for one task: one utilization row per
+/// policy (kPolicies order), then the Eq. (4) and accept masks.
+struct KernelLanes {
+  std::vector<double> util;
+  std::vector<std::uint8_t> basic;
+  std::vector<std::uint8_t> fits;
+};
+
+void run_kernels(const analysis::batch_kernel::KernelTable& kernels,
+                 const LevelUtilPlanes& planes, const McTask& task,
+                 analysis::BatchProbeScratch& scratch, KernelLanes& out) {
+  const std::size_t cores = planes.num_cores();
+  out.util.resize(std::size(kPolicies) * cores);
+  out.basic.resize(cores);
+  out.fits.resize(cores);
+  for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
+    kernels.util(planes, task, kPolicies[p], scratch,
+                 out.util.data() + p * cores);
+  }
+  kernels.fits(planes, task, scratch, out.basic.data(), out.fits.data());
+}
+
 }  // namespace
 
 CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
@@ -605,20 +637,12 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
   std::vector<analysis::ProbeResult> batched(num_cores);
   std::vector<unsigned char> mask(num_cores, 0);
 
-  // Drives the raw 2-D kernel over the engine's own planes for the
-  // forced-backend check.
-  analysis::BatchProbeScratch scratch2d;
-
   // Compares every batched API against num_cores() scalar probes for one
   // task on the CURRENT engine state.  Scalar and batched results must be
   // bitwise identical — not merely close — and each batched call must count
   // exactly num_cores() probes.
   const auto compare_task = [&](std::size_t t) -> CheckResult {
-    const analysis::ProbePolicy policies[] = {
-        analysis::ProbePolicy::kFirstFeasible,
-        analysis::ProbePolicy::kMinOverFeasible,
-        analysis::ProbePolicy::kMaxOverFeasible};
-    for (const analysis::ProbePolicy policy : policies) {
+    for (const analysis::ProbePolicy policy : kPolicies) {
       const std::size_t before = engine.probes();
       engine.probe_all_cores(t, policy, batched);
       if (engine.probes() != before + num_cores) {
@@ -678,83 +702,45 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
     return {};
   };
 
-  // 2-D trials: a random task list (random T, duplicates allowed, tile-tail
-  // sizes included) probed against all cores in one task x core call.  Every
-  // row must be bitwise identical to the scalar per-core probes, the call
-  // must charge exactly T x num_cores() probes, and the forced-scalar
-  // kernel must reproduce the active (possibly SIMD) backend bit for bit.
-  std::vector<std::size_t> tile_tasks;
-  std::vector<analysis::ProbeResult> batched2d;
-  std::vector<double> util2d;
-  std::vector<double> util2d_scalar;
-  const auto compare_tile = [&]() -> CheckResult {
-    const std::size_t T =
-        rng.uniform_int(1, std::min<std::size_t>(ts.size(), 17));
-    tile_tasks.clear();
-    for (std::size_t i = 0; i < T; ++i) {
-      tile_tasks.push_back(rng.uniform_int(0, ts.size() - 1));
+  // SIMD-vs-scalar: the raw batched kernels over the engine's own planes,
+  // on the active backend and on the scalar one; the lane-ops contract
+  // promises bitwise equality.  compare_task pins the active backend to the
+  // scalar probes; this pins the ScalarOps instantiation, which the SIMD
+  // backends run only on their remainder lanes.  The scalar kernels are
+  // called directly, not through set_batch_probe_backend, whose switch
+  // would reach the fuzzer's other worker threads.
+  analysis::BatchProbeScratch kernel_scratch;
+  KernelLanes active;
+  KernelLanes forced;
+  const auto compare_backends = [&](std::size_t t) -> CheckResult {
+    if (std::string_view(analysis::batch_probe_backend()) == "scalar") {
+      return {};
     }
-    batched2d.resize(T * num_cores);
-    const analysis::ProbePolicy policies[] = {
-        analysis::ProbePolicy::kFirstFeasible,
-        analysis::ProbePolicy::kMinOverFeasible,
-        analysis::ProbePolicy::kMaxOverFeasible};
-    for (const analysis::ProbePolicy policy : policies) {
-      const std::size_t before = engine.probes();
-      engine.probe_all_cores_2d(tile_tasks, policy,
-                                std::span<analysis::ProbeResult>(batched2d));
-      if (engine.probes() != before + T * num_cores) {
+    const LevelUtilPlanes& planes = engine.partition().planes();
+    run_kernels(kActiveKernels, planes, ts[t], kernel_scratch, active);
+    run_kernels(analysis::batch_kernel::scalar_kernels(), planes, ts[t],
+                kernel_scratch, forced);
+    for (std::size_t i = 0; i < active.util.size(); ++i) {
+      if (!bits_equal(active.util[i], forced.util[i])) {
         std::ostringstream os;
-        os << "probe_all_cores_2d accounting: probes() advanced by "
-           << engine.probes() - before << ", expected " << T * num_cores;
+        os << std::setprecision(17) << "SIMD/scalar divergence: task " << t
+           << " core " << i % num_cores << " policy "
+           << static_cast<int>(kPolicies[i / num_cores]) << ": "
+           << active.util[i] << " vs " << forced.util[i] << " (backend "
+           << analysis::batch_probe_backend() << ")";
         return fail(os.str());
       }
-      for (std::size_t i = 0; i < T; ++i) {
-        for (std::size_t m = 0; m < num_cores; ++m) {
-          const analysis::ProbeResult& got = batched2d[i * num_cores + m];
-          const analysis::ProbeResult scalar =
-              engine.probe(tile_tasks[i], m, policy);
-          if (scalar.feasible != got.feasible ||
-              !bits_equal(scalar.new_util, got.new_util) ||
-              !bits_equal(scalar.increment, got.increment)) {
-            std::ostringstream os;
-            os << std::setprecision(17) << "probe_all_cores_2d: row " << i
-               << " (task " << tile_tasks[i] << ") core " << m << " policy "
-               << static_cast<int>(policy) << ": 2-D {" << got.feasible
-               << ", " << got.new_util << ", " << got.increment
-               << "} vs scalar {" << scalar.feasible << ", "
-               << scalar.new_util << ", " << scalar.increment << "}";
-            return fail(os.str());
-          }
-        }
-      }
     }
-    // SIMD-vs-scalar: re-run one 2-D utilization pass with the kernel forced
-    // to the scalar backend; the lane-ops contract promises bitwise equality.
-    if (std::string_view(analysis::batch_probe_backend()) != "scalar") {
-      util2d.resize(T * num_cores);
-      util2d_scalar.resize(T * num_cores);
-      analysis::batch_core_utilization_2d(
-          engine.partition().planes(), ts, tile_tasks,
-          analysis::ProbePolicy::kMinOverFeasible, scratch2d, util2d.data());
-      if (!analysis::set_batch_probe_backend("scalar")) {
-        return fail("set_batch_probe_backend(scalar) refused");
-      }
-      analysis::batch_core_utilization_2d(
-          engine.partition().planes(), ts, tile_tasks,
-          analysis::ProbePolicy::kMinOverFeasible, scratch2d,
-          util2d_scalar.data());
-      if (!analysis::set_batch_probe_backend("auto")) {
-        return fail("set_batch_probe_backend(auto) refused");
-      }
-      for (std::size_t i = 0; i < T * num_cores; ++i) {
-        if (!bits_equal(util2d[i], util2d_scalar[i])) {
-          std::ostringstream os;
-          os << std::setprecision(17) << "2-D SIMD/scalar divergence at lane "
-             << i << ": " << util2d[i] << " vs " << util2d_scalar[i]
-             << " (backend " << analysis::batch_probe_backend() << ")";
-          return fail(os.str());
-        }
+    for (std::size_t m = 0; m < num_cores; ++m) {
+      if (active.basic[m] != forced.basic[m] ||
+          active.fits[m] != forced.fits[m]) {
+        std::ostringstream os;
+        os << "SIMD/scalar mask divergence: task " << t << " core " << m
+           << ": basic " << int{active.basic[m]} << " vs "
+           << int{forced.basic[m]} << ", fits " << int{active.fits[m]}
+           << " vs " << int{forced.fits[m]} << " (backend "
+           << analysis::batch_probe_backend() << ")";
+        return fail(os.str());
       }
     }
     return {};
@@ -767,7 +753,7 @@ CheckResult check_probe_parity(const TaskSet& ts, std::size_t num_cores,
     const std::size_t t = rng.uniform_int(0, ts.size() - 1);
     if (CheckResult r = compare_task(t); !r.ok) return r;
     if (step % 4 == 0) {
-      if (CheckResult r = compare_tile(); !r.ok) return r;
+      if (CheckResult r = compare_backends(t); !r.ok) return r;
     }
 
     if (core_of[t] == kUnassigned) {

@@ -92,8 +92,9 @@ struct CheckResult {
 
 /// Batched-vs-scalar probe differential on a random placement workout (the
 /// "probe-parity" fuzz target): bitwise ProbeResult equality under every
-/// policy, accept-mask equality, and the one-batched-call ==
-/// num_cores()-probes accounting contract.
+/// policy, accept-mask equality, the one-batched-call == num_cores()-probes
+/// accounting contract, and (every 4th step) the active lane backend's raw
+/// kernel output bitwise equal to the scalar backend's.
 [[nodiscard]] CheckResult check_probe_parity(const TaskSet& ts,
                                              std::size_t num_cores,
                                              std::uint64_t seed);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "mcs/analysis/edfvd.hpp"
 #include "mcs/analysis/metrics.hpp"
@@ -213,14 +214,30 @@ TEST(CaTpaRepairTest, RescuesKnownFailingWorkloads) {
   // Two frozen generator draws on which plain CA-TPA fails but the
   // single-migration repair finds a feasible partition (rescues are rare —
   // a genuine failure usually means global overload — so these pinned
-  // instances guard the mechanism).
+  // instances guard the mechanism).  The probe count and the assignment pin
+  // the repair's accounting (each dest charges members x cores probes for
+  // its victims' refuge scans, plus one probe per tried relocation) and its
+  // choices.
   struct Pinned {
     double nsu;
     std::uint64_t trial;
+    std::size_t probes;
+    std::vector<std::size_t> assignment;  ///< core of task i
+  };
+  const Pinned pins[] = {
+      {0.54, 538, 1241,
+       {4, 2, 5, 6, 5, 6, 7, 3, 7, 6, 5, 5, 6, 5, 4, 7, 1, 2, 4, 7, 7, 2,
+        4, 7, 7, 5, 3, 1, 6, 3, 3, 2, 1, 2, 2, 4, 5, 5, 1, 7, 0, 1, 7, 7,
+        0, 4, 7, 6, 5, 7, 2, 7, 3, 5, 6, 5, 1, 6, 6, 2, 7, 6, 3, 1, 1, 5,
+        7, 0, 7, 4, 6, 3, 6, 0, 3, 3, 4, 6, 6, 7, 0, 3, 0, 5, 4, 6, 4, 4}},
+      {0.60, 287, 561,
+       {7, 5, 6, 0, 7, 4, 6, 6, 0, 7, 4, 2, 4, 3, 1, 5, 1, 5, 7, 2, 6, 5,
+        2, 2, 4, 0, 3, 3, 5, 4, 3, 3, 5, 2, 1, 5, 7, 7, 6, 5, 0, 1, 7, 6,
+        4, 7, 6}},
   };
   const CaTpaPartitioner plain;
   const CaTpaPartitioner repair(CaTpaOptions{.enable_repair = true});
-  for (const Pinned& pin : {Pinned{0.54, 538}, Pinned{0.60, 287}}) {
+  for (const Pinned& pin : pins) {
     gen::GenParams params = exp::default_gen_params();
     params.nsu = pin.nsu;
     const TaskSet ts = gen::generate_trial(params, 5, pin.trial);
@@ -229,6 +246,12 @@ TEST(CaTpaRepairTest, RescuesKnownFailingWorkloads) {
     const PartitionResult r = repair.run(ts, params.num_cores);
     ASSERT_TRUE(r.success) << "nsu " << pin.nsu;
     EXPECT_TRUE(analysis::partition_metrics(r.partition).feasible);
+    EXPECT_EQ(r.probes, pin.probes) << "nsu " << pin.nsu;
+    ASSERT_EQ(ts.size(), pin.assignment.size()) << "nsu " << pin.nsu;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      EXPECT_EQ(r.partition.core_of(i), pin.assignment[i])
+          << "nsu " << pin.nsu << " task " << i;
+    }
   }
 }
 

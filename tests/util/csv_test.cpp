@@ -20,7 +20,13 @@ class CsvTest : public ::testing::Test {
     return os.str();
   }
 
-  std::string path_ = ::testing::TempDir() + "mcs_csv_test.csv";
+  // One file per case: ctest runs each case as its own process, in
+  // parallel under -j, where a shared path would let one case's TearDown
+  // remove another's file.
+  std::string path_ =
+      ::testing::TempDir() + "mcs_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

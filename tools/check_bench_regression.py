@@ -18,17 +18,18 @@ FRESH_DIR/BENCH_*_ci.json, and a baseline whose fresh counterpart is missing
 is an error -- so adding a new committed BENCH_ file without teaching CI to
 regenerate it fails loudly instead of silently going ungated.
 
-Only the dimensionless
-speedup ratios are compared -- the aggregates and the per-size entries
-(including the 2-D "speedup_2d" / "aggregate_speedup_2d" ratios when the
-bench emits them, labelled "tasks=N/2d" and "aggregate/2d") --
-because absolute ns/op numbers are machine-dependent while fast-vs-reference
-(or batched-vs-scalar) ratios on the same machine are not.  A fresh ratio may
-fall below its committed baseline by a per-ratio fractional tolerance,
-resolved in precedence order:
+Only the dimensionless speedup ratios are compared -- the aggregate
+("aggregate") and the per-size entries ("tasks=N") -- because absolute
+ns/op numbers are machine-dependent while fast-vs-reference (or
+batched-vs-scalar) ratios on the same machine are not.  Both sides of a
+pair must carry the same ratio labels: a label on either side only is an
+error, so a baseline left stale after a bench changes its ratios fails
+instead of leaving a ratio ungated.  A fresh ratio may fall below its
+committed baseline by a per-ratio fractional tolerance, resolved in
+precedence order:
 
   1. baseline JSON "gate_tolerances" entry for the ratio's exact label
-     (e.g. "aggregate", "tasks=50/2d"),
+     (e.g. "aggregate", "tasks=50"),
   2. baseline JSON "gate_tolerances" "default" entry,
   3. the --tolerance flag (default 0.25, which absorbs --quick jitter on
      shared CI runners).
@@ -49,12 +50,18 @@ import os
 import sys
 
 
+def die(message):
+    """Reports unreadable or mismatched inputs: exit status 2."""
+    print(f"check_bench_regression: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as e:
-        sys.exit(f"check_bench_regression: cannot load {path}: {e}")
+        die(f"cannot load {path}: {e}")
 
 
 def ratios(doc, path):
@@ -62,14 +69,10 @@ def ratios(doc, path):
     out = {}
     try:
         out["aggregate"] = float(doc["aggregate_speedup"])
-        if "aggregate_speedup_2d" in doc:
-            out["aggregate/2d"] = float(doc["aggregate_speedup_2d"])
         for size in doc["sizes"]:
             out[f"tasks={size['tasks']}"] = float(size["speedup"])
-            if "speedup_2d" in size:
-                out[f"tasks={size['tasks']}/2d"] = float(size["speedup_2d"])
     except (KeyError, TypeError) as e:
-        sys.exit(f"check_bench_regression: {path} is not a bench JSON ({e})")
+        die(f"{path} is not a bench JSON ({e})")
     return out
 
 
@@ -81,17 +84,16 @@ def tolerances(doc, path, default):
     """
     table = doc.get("gate_tolerances", {})
     if not isinstance(table, dict):
-        sys.exit(f"check_bench_regression: {path} gate_tolerances must be "
-                 "an object of label -> fraction")
+        die(f"{path} gate_tolerances must be an object of label -> "
+            "fraction")
     for label, value in table.items():
         try:
             frac = float(value)
         except (TypeError, ValueError):
-            sys.exit(f"check_bench_regression: {path} gate_tolerances"
-                     f"['{label}'] is not a number")
+            die(f"{path} gate_tolerances['{label}'] is not a number")
         if not 0.0 <= frac < 1.0:
-            sys.exit(f"check_bench_regression: {path} gate_tolerances"
-                     f"['{label}'] = {frac} must be in [0, 1)")
+            die(f"{path} gate_tolerances['{label}'] = {frac} must be in "
+                "[0, 1)")
     doc_default = float(table["default"]) if "default" in table else default
     return lambda label: float(table.get(label, doc_default))
 
@@ -105,15 +107,15 @@ def discover_pairs(baseline_dir, fresh_dir):
     baselines = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
     baselines = [p for p in baselines if not p.endswith("_ci.json")]
     if not baselines:
-        sys.exit(f"check_bench_regression: no BENCH_*.json in {baseline_dir}")
+        die(f"no BENCH_*.json in {baseline_dir}")
     pairs = []
     for baseline in baselines:
         stem = os.path.basename(baseline)[:-len(".json")]
         fresh = os.path.join(fresh_dir, stem + "_ci.json")
         if not os.path.exists(fresh):
-            sys.exit(f"check_bench_regression: {baseline} is committed but "
-                     f"{fresh} was not generated -- every committed bench "
-                     "baseline must be regenerated and gated")
+            die(f"{baseline} is committed but {fresh} was not generated -- "
+                "every committed bench baseline must be regenerated and "
+                "gated")
         pairs.append(f"{baseline}:{fresh}")
     return pairs
 
@@ -138,10 +140,10 @@ def main():
         help="baseline and fresh bench JSON paths, colon-separated")
     args = parser.parse_args()
     if not 0.0 <= args.tolerance < 1.0:
-        sys.exit("check_bench_regression: --tolerance must be in [0, 1)")
+        die("--tolerance must be in [0, 1)")
     if bool(args.discover) == bool(args.pairs):
-        sys.exit("check_bench_regression: pass either --discover FRESH_DIR "
-                 "or explicit BASELINE:FRESH pairs")
+        die("pass either --discover FRESH_DIR or explicit BASELINE:FRESH "
+            "pairs")
     pairs = discover_pairs(args.baseline_dir, args.discover) \
         if args.discover else args.pairs
 
@@ -150,22 +152,25 @@ def main():
     for pair in pairs:
         baseline_path, sep, fresh_path = pair.partition(":")
         if not sep or not fresh_path:
-            sys.exit(f"check_bench_regression: malformed pair '{pair}' "
-                     "(expected BASELINE:FRESH)")
+            die(f"malformed pair '{pair}' (expected BASELINE:FRESH)")
         baseline_doc = load(baseline_path)
         fresh_doc = load(fresh_path)
         bench = baseline_doc.get("bench", baseline_path)
         if fresh_doc.get("bench") != baseline_doc.get("bench"):
-            sys.exit(f"check_bench_regression: {fresh_path} is "
-                     f"'{fresh_doc.get('bench')}' but {baseline_path} is "
-                     f"'{baseline_doc.get('bench')}'")
+            die(f"{fresh_path} is '{fresh_doc.get('bench')}' but "
+                f"{baseline_path} is '{baseline_doc.get('bench')}'")
         base = ratios(baseline_doc, baseline_path)
         fresh = ratios(fresh_doc, fresh_path)
         tol_of = tolerances(baseline_doc, baseline_path, args.tolerance)
+        for side, labels, other, others in (
+                (baseline_path, base, fresh_path, fresh),
+                (fresh_path, fresh, baseline_path, base)):
+            unmatched = sorted(set(labels) - set(others))
+            if unmatched:
+                die(f"{side} has {', '.join(unmatched)} but {other} does "
+                    "not -- a bench and its committed baseline must carry "
+                    "the same ratios")
         for label, base_speedup in sorted(base.items()):
-            if label not in fresh:
-                sys.exit(f"check_bench_regression: {fresh_path} lacks "
-                         f"'{label}' present in {baseline_path}")
             tol = tol_of(label)
             floor = base_speedup * (1.0 - tol)
             ok = fresh[label] >= floor

@@ -42,7 +42,7 @@ if [ "$on_x86" -eq 0 ]; then
 fi
 
 # --- 1. the lane-pack walks ----------------------------------------------
-for label in "pack pairs" "single packs" "task pairs"; do
+for label in "pack pairs" "single packs"; do
   if grep -q "simd loop: $label\$" "$IMPL"; then
     echo "ok: marker 'simd loop: $label' in $IMPL"
   else

@@ -30,7 +30,10 @@ DbfResult dbf_dual_test(const TaskSet& ts,
         "dbf_dual_test: requires a dual-criticality task set");
   }
   if (members.empty()) return DbfResult{.schedulable = true, .scale = 1.0};
-  const std::optional<double> x = demand::uniform_scale<kFormula>(ts, members);
+  demand::Work work;
+  const std::optional<double> x =
+      demand::uniform_scale<kFormula>(ts, members, work);
+  work.flush();
   if (!x) return DbfResult{};
   return DbfResult{.schedulable = true, .scale = *x};
 }

@@ -4,8 +4,24 @@
 #include <limits>
 
 #include "mcs/analysis/edfvd.hpp"
+#include "mcs/obs/metrics.hpp"
 
 namespace mcs::analysis::demand {
+
+namespace {
+// Registered once; increments are no-ops while metrics are disabled.
+obs::Counter& g_candidates = obs::registry().counter("demand.candidates");
+obs::Counter& g_scans = obs::registry().counter("demand.scans");
+obs::Counter& g_breakpoints = obs::registry().counter("demand.breakpoints");
+obs::Counter& g_exact_sums = obs::registry().counter("demand.exact_sums");
+}  // namespace
+
+void Work::flush() const {
+  g_candidates.add(candidates);
+  g_scans.add(scans);
+  g_breakpoints.add(breakpoints);
+  g_exact_sums.add(exact_sums);
+}
 
 void build_curves(const TaskSet& ts, std::span<const std::size_t> members,
                   std::span<const double> scales, ModeCurves& curves) {
@@ -181,7 +197,8 @@ bool resumable(std::span<const Curve> curves, const ScanResume& from) {
 template <Formula F>
 std::optional<double> first_violation(std::span<const Curve> curves,
                                       double bound,
-                                      std::optional<ScanResume> resume) {
+                                      std::optional<ScanResume> resume,
+                                      Work* work) {
   // Breakpoints stream in ascending order through a min-heap with a step
   // lane and, under kCredited, a kink lane per curve, so the scan stops at
   // the first violation without sorting the whole list: rejections, the
@@ -216,6 +233,16 @@ std::optional<double> first_violation(std::span<const Curve> curves,
                       kRoundoff * n * n * max_period
                 : 0.0;
   CarriedDemand<F> carried(curves.size());
+  std::uint64_t judged = 0;  // distinct breakpoints judged
+  std::uint64_t exact = 0;   // ... by the exact sum
+  const auto done = [&](std::optional<double> violation) {
+    if (work != nullptr) {
+      ++work->scans;
+      work->breakpoints += judged;
+      work->exact_sums += exact;
+    }
+    return violation;
+  };
 
   std::vector<Lane> heap;
   heap.reserve(curves.size() * 2);
@@ -242,8 +269,10 @@ std::optional<double> first_violation(std::span<const Curve> curves,
       double next = c.d0;
       std::uint32_t jobs = 0;
       for (; next < start && next <= reach; next += c.period) {
-        if (i == resume->moved && exact_sum<F>(curves, next) > next + 1e-9) {
-          return next;
+        if (i == resume->moved) {
+          ++judged;
+          ++exact;
+          if (exact_sum<F>(curves, next) > next + 1e-9) return done(next);
         }
         fired = next;
         ++jobs;
@@ -294,16 +323,18 @@ std::optional<double> first_violation(std::span<const Curve> curves,
         heap.empty() ? dropped : std::min(heap.front().next, dropped);
     const bool isolated = t - last > window && after - t > window;
     last = t;
+    ++judged;
     if (filtered && isolated) {
       const double estimate = carried.estimate(t);
       const double margin = estimate - (t + 1e-9);
       const double error = carried.error(t, estimate, n, curve_error);
-      if (margin > error) return t;
+      if (margin > error) return done(t);
       if (-margin > error) continue;
     }
-    if (exact_sum<F>(curves, t) > t + 1e-9) return t;
+    ++exact;
+    if (exact_sum<F>(curves, t) > t + 1e-9) return done(t);
   }
-  return std::nullopt;
+  return done(std::nullopt);
 }
 
 namespace {
@@ -336,7 +367,8 @@ struct Failure {
 /// the other scan makes it `first_scan` for the next candidate.
 template <Formula F>
 std::optional<Failure> failure(const ModeCurves& curves,
-                               std::size_t& first_scan) {
+                               std::size_t& first_scan, Work& work) {
+  ++work.candidates;
   std::array<double, 2> bounds{};
   for (std::size_t mode = 0; mode < 2; ++mode) {
     const std::optional<double> bound = analysis_bound(curves[mode]);
@@ -345,7 +377,8 @@ std::optional<Failure> failure(const ModeCurves& curves,
   }
   for (const std::size_t mode : {first_scan, 1 - first_scan}) {
     if (bounds[mode] <= 0.0) continue;
-    if (const auto t = first_violation<F>(curves[mode], bounds[mode])) {
+    if (const auto t = first_violation<F>(curves[mode], bounds[mode],
+                                          std::nullopt, &work)) {
       first_scan = mode;
       return Failure{mode, t};
     }
@@ -384,7 +417,8 @@ struct Settled {
 
 template <Formula F>
 std::optional<double> uniform_scale(const TaskSet& ts,
-                                    std::span<const std::size_t> members) {
+                                    std::span<const std::size_t> members,
+                                    Work& work) {
   std::vector<double> scales(members.size());
   ModeCurves curves;
   std::size_t first_scan = 1;  // 0 = LO, 1 = HI; see the file comment
@@ -404,7 +438,8 @@ std::optional<double> uniform_scale(const TaskSet& ts,
         (above_hi && violates_by<F>(curves[1], *hi->t))) {
       continue;
     }
-    const std::optional<Failure> failed = failure<F>(curves, first_scan);
+    const std::optional<Failure> failed =
+        failure<F>(curves, first_scan, work);
     if (!failed) return x;
     std::optional<Settled>& side = failed->mode == 0 ? lo : hi;
     if (!side || (failed->mode == 0 ? x > side->x : x < side->x)) {
@@ -415,12 +450,12 @@ std::optional<double> uniform_scale(const TaskSet& ts,
 }
 
 template std::optional<double> first_violation<Formula::kStep>(
-    std::span<const Curve>, double, std::optional<ScanResume>);
+    std::span<const Curve>, double, std::optional<ScanResume>, Work*);
 template std::optional<double> first_violation<Formula::kCredited>(
-    std::span<const Curve>, double, std::optional<ScanResume>);
+    std::span<const Curve>, double, std::optional<ScanResume>, Work*);
 template std::optional<double> uniform_scale<Formula::kStep>(
-    const TaskSet&, std::span<const std::size_t>);
+    const TaskSet&, std::span<const std::size_t>, Work&);
 template std::optional<double> uniform_scale<Formula::kCredited>(
-    const TaskSet&, std::span<const std::size_t>);
+    const TaskSet&, std::span<const std::size_t>, Work&);
 
 }  // namespace mcs::analysis::demand

@@ -178,6 +178,7 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -251,6 +252,20 @@ struct ScanResume {
   std::size_t moved = 0;
 };
 
+/// The work of one gate call.  Scans add to it once per scan; the gate adds
+/// it to the demand.* counters once per call (flush), so a disabled
+/// registry costs one branch per counter and call.
+struct Work {
+  std::uint64_t candidates = 0;   ///< tier-1 candidates judged in full
+  std::uint64_t scans = 0;        ///< breakpoint scans run
+  std::uint64_t breakpoints = 0;  ///< distinct breakpoints judged
+  std::uint64_t exact_sums = 0;   ///< ... of which the exact sum took
+
+  /// Adds the counts to demand.candidates, .scans, .breakpoints and
+  /// .exact_sums.
+  void flush() const;
+};
+
 /// Scans the summed demand against t at every breakpoint up to `bound` and
 /// returns the first violating t, or nullopt when the demand fits.
 /// Breakpoints are the deadline steps and, under kCredited, the credit
@@ -258,16 +273,17 @@ struct ScanResume {
 /// carried between breakpoints, and the result is the exact sum's bit for
 /// bit (see the file comment).  With `resume`, the scan starts at
 /// resume->t where the file comment's argument allows and returns the same
-/// t as a full scan.  Takes fewer than 2^32 curves.
+/// t as a full scan.  Counts the scan into `work` when given.  Takes fewer
+/// than 2^32 curves.
 template <Formula F>
 [[nodiscard]] std::optional<double> first_violation(
     std::span<const Curve> curves, double bound,
-    std::optional<ScanResume> resume = std::nullopt);
+    std::optional<ScanResume> resume = std::nullopt, Work* work = nullptr);
 
 /// The uniform-scale tier (see the file comment): the first candidate x
-/// that passes both modes, or nullopt.
+/// that passes both modes, or nullopt.  Counts its work into `work`.
 template <Formula F>
 [[nodiscard]] std::optional<double> uniform_scale(
-    const TaskSet& ts, std::span<const std::size_t> members);
+    const TaskSet& ts, std::span<const std::size_t> members, Work& work);
 
 }  // namespace mcs::analysis::demand

@@ -5,12 +5,22 @@
 #include <utility>
 
 #include "mcs/analysis/demand_core.hpp"
+#include "mcs/obs/metrics.hpp"
 
 namespace mcs::analysis {
 
 namespace {
 
 using demand::Curve;
+
+// Tier-2 calls and how each ended; registered once, no-ops while metrics
+// are disabled.
+obs::Counter& g_tier2_calls = obs::registry().counter("demand.tier2_calls");
+obs::Counter& g_tier2_accepted =
+    obs::registry().counter("demand.tier2_accepted");
+obs::Counter& g_tier2_stuck = obs::registry().counter("demand.tier2_stuck");
+obs::Counter& g_tier2_cycle = obs::registry().counter("demand.tier2_cycle");
+obs::Counter& g_tier2_cap = obs::registry().counter("demand.tier2_cap");
 
 /// The credited curves, in the demand, both tiers and ge_dbf_hi alike.
 constexpr demand::Formula kFormula = demand::Formula::kCredited;
@@ -21,15 +31,16 @@ constexpr demand::Formula kFormula = demand::Formula::kCredited;
 std::optional<std::pair<std::size_t, double>> ge_violation(
     const TaskSet& ts, std::span<const std::size_t> members,
     std::span<const double> scales,
-    std::optional<demand::ScanResume> lo_resume, demand::ModeCurves& curves) {
+    std::optional<demand::ScanResume> lo_resume, demand::ModeCurves& curves,
+    demand::Work& work) {
   demand::build_curves(ts, members, scales, curves);
   for (std::size_t mode = 0; mode < 2; ++mode) {
     const std::optional<double> bound = demand::analysis_bound(curves[mode]);
     if (!bound) return std::make_pair(mode, 0.0);  // conservative
     if (*bound > 0.0) {
       if (const auto t = demand::first_violation<kFormula>(
-              curves[mode], *bound,
-              mode == 0 ? lo_resume : std::nullopt)) {
+              curves[mode], *bound, mode == 0 ? lo_resume : std::nullopt,
+              &work)) {
         return std::make_pair(mode, *t);
       }
     }
@@ -57,22 +68,18 @@ double ge_dbf_hi(const McTask& task, double t, double x) {
   return demand::curve_demand<kFormula>(c, t);
 }
 
-GeResult ge_dual_test(const TaskSet& ts,
-                      std::span<const std::size_t> members) {
-  if (ts.num_levels() != 2) {
-    throw std::invalid_argument(
-        "ge_dual_test: requires a dual-criticality task set");
-  }
+namespace {
+
+/// Both tiers of ge_dual_test on a nonempty member list, counting their
+/// work into `work`.
+GeResult ge_tiers(const TaskSet& ts, std::span<const std::size_t> members,
+                  demand::Work& work) {
   GeResult result;
   result.scales.assign(ts.size(), 1.0);
-  if (members.empty()) {
-    result.schedulable = true;
-    return result;
-  }
 
   // Tier 1: the uniform-scale search shared with dbf_dual_test.
   std::vector<double> scales(members.size(), 1.0);
-  if (const auto x = demand::uniform_scale<kFormula>(ts, members)) {
+  if (const auto x = demand::uniform_scale<kFormula>(ts, members, work)) {
     for (std::size_t m = 0; m < members.size(); ++m) {
       if (ts[members[m]].level() == 2) scales[m] = *x;
     }
@@ -84,6 +91,7 @@ GeResult ge_dual_test(const TaskSet& ts,
   std::size_t hi_count = 0;
   for (std::size_t m : members) hi_count += ts[m].level() == 2 ? 1u : 0u;
   if (hi_count == 0) return result;  // pure-LO sets are settled by tier 1
+  g_tier2_calls.add();
   for (std::size_t m = 0; m < members.size(); ++m) {
     if (ts[members[m]].level() == 2) scales[m] = 0.5;
   }
@@ -99,8 +107,11 @@ GeResult ge_dual_test(const TaskSet& ts,
   std::optional<demand::ScanResume> lo_resume;
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     const auto violation =
-        ge_violation(ts, members, scales, lo_resume, curves);
-    if (!violation) return accept(ts, members, scales);
+        ge_violation(ts, members, scales, lo_resume, curves, work);
+    if (!violation) {
+      g_tier2_accepted.add();
+      return accept(ts, members, scales);
+    }
     const auto [mode, t] = *violation;
     // Pick the HI member contributing the most demand at the violation
     // point whose scale can still move in the helpful direction.
@@ -125,7 +136,10 @@ GeResult ge_dual_test(const TaskSet& ts,
         best = m;
       }
     }
-    if (best == members.size() || best_demand <= 0.0) return result;  // stuck
+    if (best == members.size() || best_demand <= 0.0) {
+      g_tier2_stuck.add();
+      return result;
+    }
     const double prior = scales[best];
     scales[best] += mode == 0 ? step : -step;
     lo_resume = mode == 0 ? std::optional(demand::ScanResume{t, best})
@@ -135,11 +149,35 @@ GeResult ge_dual_test(const TaskSet& ts,
     // ago.  The step is a pure function of the scales and both states of
     // this 2-cycle have violated, so the loop could only alternate between
     // them until the cap: reject now, as the cap would.
-    if (best == last_moved && scales[best] == last_prior) return result;
+    if (best == last_moved && scales[best] == last_prior) {
+      g_tier2_cycle.add();
+      return result;
+    }
     last_moved = best;
     last_prior = prior;
   }
+  g_tier2_cap.add();
   return result;  // iteration cap: conservatively reject
+}
+
+}  // namespace
+
+GeResult ge_dual_test(const TaskSet& ts,
+                      std::span<const std::size_t> members) {
+  if (ts.num_levels() != 2) {
+    throw std::invalid_argument(
+        "ge_dual_test: requires a dual-criticality task set");
+  }
+  if (members.empty()) {
+    GeResult result;
+    result.schedulable = true;
+    result.scales.assign(ts.size(), 1.0);
+    return result;
+  }
+  demand::Work work;
+  GeResult result = ge_tiers(ts, members, work);
+  work.flush();
+  return result;
 }
 
 GeResult ge_dual_test(const TaskSet& ts) {

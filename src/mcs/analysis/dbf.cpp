@@ -31,8 +31,8 @@ DbfResult dbf_dual_test(const TaskSet& ts,
   }
   if (members.empty()) return DbfResult{.schedulable = true, .scale = 1.0};
   demand::Work work;
-  const std::optional<double> x =
-      demand::uniform_scale<kFormula>(ts, members, work);
+  const std::optional<double> x = demand::uniform_scale<kFormula>(
+      ts, members, demand::gate_scratch<kFormula>(), work);
   work.flush();
   if (!x) return DbfResult{};
   return DbfResult{.schedulable = true, .scale = *x};

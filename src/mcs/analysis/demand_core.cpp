@@ -68,27 +68,22 @@ std::optional<double> analysis_bound(std::span<const Curve> curves) {
 
 namespace {
 
-/// One breakpoint stream of the scan: a curve's deadline steps, or under
-/// kCredited its credit kinks.
-struct Lane {
-  double next;          ///< next breakpoint of this lane
-  std::uint32_t curve;  ///< index into the scan's curves (< 2^32 of them)
-  std::uint32_t jobs;   ///< deadline steps fired, or kKink for a kink lane
-};
 constexpr std::uint32_t kKink = std::numeric_limits<std::uint32_t>::max();
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kRoundoff = 0x1p-53;
-/// Covers the absolute rounding error of subnormal results.
-constexpr double kUnderflow = 0x1p-1000;
+
+/// Breakpoints the uniform tier's race judges on one scan before it looks
+/// at the other again (see the file comment).
+constexpr std::size_t kRaceRun = 32;
 
 /// Restores the min-heap order on `next` after the root's key changed: one
 /// sift instead of the pop and push of the std heap functions.
-void sift_root(std::span<Lane> heap) {
+template <class Lane>
+void sift_root(Lane* heap, std::size_t size) {
   const Lane moving = heap[0];
   std::size_t i = 0;
-  for (std::size_t child = 1; child < heap.size(); child = 2 * i + 1) {
-    if (child + 1 < heap.size() && heap[child + 1].next < heap[child].next) {
+  for (std::size_t child = 1; child < size; child = 2 * i + 1) {
+    if (child + 1 < size && heap[child + 1].next < heap[child].next) {
       ++child;
     }
     if (!(heap[child].next < moving.next)) break;
@@ -97,73 +92,6 @@ void sift_root(std::span<Lane> heap) {
   }
   heap[i] = moving;
 }
-
-/// The demand a scan carries from one breakpoint to the next, and the
-/// running terms of its error bound (see the header comment).
-template <Formula F>
-class CarriedDemand {
- public:
-  explicit CarriedDemand(std::size_t curves)
-      : ramp_of_(F == Formula::kCredited ? curves : 0, 0.0) {}
-
-  /// Fires the deadline step of `curve` at t; false if its ramp is open.
-  bool step(const Curve& c, std::uint32_t curve, double t) {
-    steps_ += c.cost;
-    fired_ += 1.0;
-    if (F == Formula::kStep || c.credit == 0.0) return true;
-    double& ramp = ramp_of_[curve];
-    const bool closed = ramp == 0.0;
-    ramp = c.credit + t;
-    ramps_ += 1.0;
-    ramp_sum_ += ramp;
-    ramp_ops_ += std::abs(ramp_sum_);
-    return closed;
-  }
-
-  /// Fires the credit kink of `curve`; false if its ramp is not open.
-  bool kink(std::uint32_t curve) {
-    double& ramp = ramp_of_[curve];
-    const bool open = ramp != 0.0;
-    ramps_ -= 1.0;
-    // With no ramp open the true sum is 0: drop its rounding error.
-    ramp_sum_ = ramps_ == 0.0 ? 0.0 : ramp_sum_ - ramp;
-    ramp_ops_ = ramps_ == 0.0 ? 0.0 : ramp_ops_ + std::abs(ramp_sum_);
-    ramp = 0.0;
-    return open;
-  }
-
-  /// Starts a resumed scan from `steps`, the summed cost of the deadline
-  /// steps fired before its start, formed in `ops` roundings.
-  void reseed(double steps, double ops) {
-    steps_ = steps;
-    fired_ = ops;
-  }
-
-  [[nodiscard]] double estimate(double t) const {
-    if constexpr (F == Formula::kStep) return steps_;
-    return steps_ - (ramp_sum_ - ramps_ * t);
-  }
-
-  /// Bounds |estimate(t) - the exact sum at t| for a scan of n curves whose
-  /// per-curve drift and rounding are within `curve_error`.
-  [[nodiscard]] double error(double t, double estimate, double n,
-                             double curve_error) const {
-    return 2.0 * (kRoundoff * ((fired_ + n + 2.0) * steps_ + ramp_ops_ +
-                               2.0 * (ramp_sum_ + ramps_ * t +
-                                      std::abs(estimate))) +
-                  curve_error) +
-           kUnderflow;
-  }
-
- private:
-  double steps_ = 0.0;     // summed cost of the fired deadline steps
-  double fired_ = 0.0;     // roundings in steps_
-  double ramps_ = 0.0;     // open credit ramps
-  double ramp_sum_ = 0.0;  // their summed credit + start
-  double ramp_ops_ = 0.0;  // summed |ramp_sum_| since ramps_ was last 0
-  /// Per curve: credit + start of its open ramp, 0 while closed.
-  std::vector<double> ramp_of_;
-};
 
 /// The exact summed demand at t: curve_demand over the curves in order.
 template <Formula F>
@@ -195,10 +123,18 @@ bool resumable(std::span<const Curve> curves, const ScanResume& from) {
 }  // namespace
 
 template <Formula F>
-std::optional<double> first_violation(std::span<const Curve> curves,
-                                      double bound,
-                                      std::optional<ScanResume> resume,
-                                      Work* work) {
+void LaneScan<F>::add_lane(double next, std::size_t curve,
+                           std::uint32_t jobs) {
+  if (next <= reach_) {
+    heap_.push_back({next, static_cast<std::uint32_t>(curve), jobs});
+  } else {
+    dropped_ = std::min(dropped_, next);
+  }
+}
+
+template <Formula F>
+void LaneScan<F>::start(std::span<const Curve> curves, double bound,
+                        std::optional<ScanResume> resume) {
   // Breakpoints stream in ascending order through a min-heap with a step
   // lane and, under kCredited, a kink lane per curve, so the scan stops at
   // the first violation without sorting the whole list: rejections, the
@@ -206,8 +142,14 @@ std::optional<double> first_violation(std::span<const Curve> curves,
   // is carried from one breakpoint to the next; the exact sum decides each
   // breakpoint the carried one might misjudge (see the header comment).
   constexpr bool kCredited = F == Formula::kCredited;
-  const double reach = bound + 1e-9;  // a lane ends past this
-  // Whether the carried demand may decide; once false, false for good.
+  curves_ = curves;
+  heap_.clear();
+  ramp_of_.assign(kCredited ? curves.size() : 0, 0.0);
+  carried_ = detail::CarriedDemand<F>{};
+  violation_.reset();
+  judged_ = 0;
+  exact_sums_ = 0;
+  reach_ = bound + 1e-9;
   bool filtered = true;
   double min_period = kInf;
   double max_period = 0.0;
@@ -221,41 +163,19 @@ std::optional<double> first_violation(std::span<const Curve> curves,
   }
   // Every lane value, credit and period the filter meets is below `span`,
   // and no lane fires more than `lane_steps` times.
-  const double span = reach + max_period;
-  const double lane_steps = reach / min_period + 2.0;
+  const double span = reach_ + max_period;
+  const double lane_steps = reach_ / min_period + 2.0;
   filtered = filtered && lane_steps < static_cast<double>(kKink);
   const double drift = lane_steps * kRoundoff * span;
-  const double window = 2.0 * (1e-9 * std::max(1.0, max_period) + drift +
-                               4.0 * kRoundoff * span);
-  const auto n = static_cast<double>(curves.size());
-  const double curve_error =
-      kCredited ? n * (drift + 8.0 * kRoundoff * span) +
-                      kRoundoff * n * n * max_period
-                : 0.0;
-  CarriedDemand<F> carried(curves.size());
-  std::uint64_t judged = 0;  // distinct breakpoints judged
-  std::uint64_t exact = 0;   // ... by the exact sum
-  const auto done = [&](std::optional<double> violation) {
-    if (work != nullptr) {
-      ++work->scans;
-      work->breakpoints += judged;
-      work->exact_sums += exact;
-    }
-    return violation;
-  };
+  window_ = 2.0 * (1e-9 * std::max(1.0, max_period) + drift +
+                   4.0 * kRoundoff * span);
+  n_ = static_cast<double>(curves.size());
+  curve_error_ = kCredited ? n_ * (drift + 8.0 * kRoundoff * span) +
+                                 kRoundoff * n_ * n_ * max_period
+                           : 0.0;
+  dropped_ = kInf;
+  last_ = -1.0;
 
-  std::vector<Lane> heap;
-  heap.reserve(curves.size() * 2);
-  double dropped = kInf;  // the least lane value past `reach`
-  double last = -1.0;     // the previous distinct breakpoint
-  const auto add_lane = [&](double next, std::size_t curve,
-                            std::uint32_t jobs) {
-    if (next <= reach) {
-      heap.push_back({next, static_cast<std::uint32_t>(curve), jobs});
-    } else {
-      dropped = std::min(dropped, next);
-    }
-  };
   if (resume && filtered && resumable<F>(curves, *resume)) {
     // Every lane from its first value at or after the start, as the full
     // scan's additions leave it; below the start only the moved curve's
@@ -268,24 +188,28 @@ std::optional<double> first_violation(std::span<const Curve> curves,
       double fired = -1.0;
       double next = c.d0;
       std::uint32_t jobs = 0;
-      for (; next < start && next <= reach; next += c.period) {
+      for (; next < start && next <= reach_; next += c.period) {
         if (i == resume->moved) {
-          ++judged;
-          ++exact;
-          if (exact_sum<F>(curves, next) > next + 1e-9) return done(next);
+          ++judged_;
+          ++exact_sums_;
+          if (exact_sum<F>(curves, next) > next + 1e-9) {
+            heap_.clear();
+            violation_ = next;
+            return;
+          }
         }
         fired = next;
         ++jobs;
       }
       if (jobs > 0) {
-        last = std::max(last, fired);
+        last_ = std::max(last_, fired);
         filtered = filtered && std::floor((fired - c.d0) / c.period + 1e-9) ==
                                    static_cast<double>(jobs - 1);
       }
       steps += static_cast<double>(jobs) * c.cost;
       add_lane(next, i, jobs);
     }
-    carried.reseed(steps, 2.0 * n);  // n products and n additions
+    carried_.reseed(steps, 2.0 * n_);  // n products and n additions
   } else {
     for (std::size_t i = 0; i < curves.size(); ++i) {
       const Curve& c = curves[i];
@@ -294,65 +218,130 @@ std::optional<double> first_violation(std::span<const Curve> curves,
       if (kCredited && c.credit > 0.0) add_lane(c.d0 + c.credit, i, kKink);
     }
   }
-
-  std::make_heap(heap.begin(), heap.end(),
+  filtered_ = filtered;
+  std::make_heap(heap_.begin(), heap_.end(),
                  [](const Lane& a, const Lane& b) { return a.next > b.next; });
-  while (!heap.empty()) {
-    const double t = heap.front().next;
+}
+
+template <Formula F>
+void LaneScan<F>::advance(std::size_t run) {
+  // The loop works on locals and stores them back once, so that its state
+  // stays in registers as in a scan that runs in one go.
+  const std::span<const Curve> curves = curves_;
+  Lane* const heap = heap_.data();
+  std::size_t size = violation_ ? 0 : heap_.size();
+  double* const ramp_of = ramp_of_.data();
+  detail::CarriedDemand<F> carried = carried_;
+  bool filtered = filtered_;
+  double dropped = dropped_;
+  double last = last_;
+  const double reach = reach_;
+  const double window = window_;
+  std::uint64_t judged = 0;
+  std::uint64_t exact = 0;
+  std::optional<double> found;
+  while (size > 0 && judged < run) {
+    const double t = heap[0].next;
     do {  // fire every lane at t before t is judged
-      Lane& lane = heap.front();
+      Lane& lane = heap[0];
       const Curve& c = curves[lane.curve];
       if (filtered && lane.jobs == kKink) {
-        filtered = carried.kink(lane.curve);
+        filtered = carried.kink(ramp_of, lane.curve);
       } else if (filtered) {
         filtered = std::floor((t - c.d0) / c.period + 1e-9) ==
                        static_cast<double>(lane.jobs) &&
-                   carried.step(c, lane.curve, t);
+                   carried.step(c, ramp_of, lane.curve, t);
         ++lane.jobs;
       }
       lane.next += c.period;
       if (!(lane.next <= reach)) {
         dropped = std::min(dropped, lane.next);
-        lane = heap.back();
-        heap.pop_back();
+        lane = heap[--size];
       }
-      if (!heap.empty()) sift_root(heap);
-    } while (!heap.empty() && heap.front().next == t);
+      if (size > 0) sift_root(heap, size);
+    } while (size > 0 && heap[0].next == t);
     if (t == last) continue;  // not a new breakpoint
-    const double after =
-        heap.empty() ? dropped : std::min(heap.front().next, dropped);
+    const double after = size == 0 ? dropped : std::min(heap[0].next, dropped);
     const bool isolated = t - last > window && after - t > window;
     last = t;
     ++judged;
     if (filtered && isolated) {
       const double estimate = carried.estimate(t);
       const double margin = estimate - (t + 1e-9);
-      const double error = carried.error(t, estimate, n, curve_error);
-      if (margin > error) return done(t);
+      const double error = carried.error(t, estimate, n_, curve_error_);
+      if (margin > error) {
+        found = t;
+        break;
+      }
       if (-margin > error) continue;
     }
     ++exact;
-    if (exact_sum<F>(curves, t) > t + 1e-9) return done(t);
+    if (exact_sum<F>(curves, t) > t + 1e-9) {
+      found = t;
+      break;
+    }
   }
-  return done(std::nullopt);
+  heap_.resize(found ? 0 : size);
+  carried_ = carried;
+  filtered_ = filtered;
+  dropped_ = dropped;
+  last_ = last;
+  judged_ += judged;
+  exact_sums_ += exact;
+  if (found) violation_ = found;
+}
+
+template <Formula F>
+double LaneScan<F>::next() const noexcept {
+  return finished() ? kInf : heap_.front().next;
+}
+
+template <Formula F>
+void LaneScan<F>::count(Work& work) const noexcept {
+  ++work.scans;
+  work.breakpoints += judged_;
+  work.exact_sums += exact_sums_;
+}
+
+template <Formula F>
+std::optional<double> first_violation(std::span<const Curve> curves,
+                                      double bound,
+                                      std::optional<ScanResume> resume) {
+  LaneScan<F> scan;
+  scan.start(curves, bound, resume);
+  scan.advance(std::numeric_limits<std::size_t>::max());
+  return scan.violation();
+}
+
+template <Formula F>
+GateScratch<F>& gate_scratch() {
+  thread_local GateScratch<F> scratch;
+  return scratch;
 }
 
 namespace {
 
-/// Uniform candidates in trial order; out-of-range ones are skipped later.
-std::vector<double> scale_candidates(const TaskSet& ts,
-                                     std::span<const std::size_t> members) {
-  UtilMatrix u(2);
+/// The largest number of uniform candidates: 1, 1 - U_2(2), the EDF-VD
+/// factor and the grid.
+constexpr std::size_t kMaxCandidates = kScaleGrid + 3;
+
+/// Uniform candidates in trial order into `out`; returns how many.
+/// Out-of-range ones are skipped later.
+std::size_t scale_candidates(const TaskSet& ts,
+                             std::span<const std::size_t> members,
+                             UtilMatrix& u,
+                             std::array<double, kMaxCandidates>& out) {
+  u.reset(2);
   for (std::size_t i : members) u.add(ts[i]);
-  std::vector<double> candidates{1.0};
+  std::size_t n = 0;
+  out[n++] = 1.0;
   const double u22 = u.level_util(2, 2);
-  if (u22 > 0.0 && u22 < 1.0) candidates.push_back(1.0 - u22);
-  candidates.push_back(dual_scaling_factor(u));
+  if (u22 > 0.0 && u22 < 1.0) out[n++] = 1.0 - u22;
+  out[n++] = dual_scaling_factor(u);
   for (std::size_t g = 1; g <= kScaleGrid; ++g) {
-    candidates.push_back(static_cast<double>(g) /
-                         static_cast<double>(kScaleGrid));
+    out[n++] = static_cast<double>(g) / static_cast<double>(kScaleGrid);
   }
-  return candidates;
+  return n;
 }
 
 /// Why a uniform candidate failed: the mode (0 = LO, 1 = HI) and its
@@ -362,12 +351,22 @@ struct Failure {
   std::optional<double> t;
 };
 
-/// Judges one uniform candidate: both bounds, then the scan of
-/// `first_scan`, then the other; nullopt when it passes.  A rejection by
-/// the other scan makes it `first_scan` for the next candidate.
+/// The first breakpoint a scan of `curves` judges, if any is at or below
+/// reach: the earliest deadline step (a kink follows its step).
+double first_breakpoint(std::span<const Curve> curves) {
+  double first = kInf;
+  for (const Curve& c : curves) {
+    if (c.cost > 0.0) first = std::min(first, c.d0);
+  }
+  return first;
+}
+
+/// Judges one uniform candidate: both bounds, then both scans raced in
+/// ascending t (see the file comment); nullopt when it passes.
 template <Formula F>
 std::optional<Failure> failure(const ModeCurves& curves,
-                               std::size_t& first_scan, Work& work) {
+                               std::array<LaneScan<F>, 2>& scans,
+                               Work& work) {
   ++work.candidates;
   std::array<double, 2> bounds{};
   for (std::size_t mode = 0; mode < 2; ++mode) {
@@ -375,15 +374,33 @@ std::optional<Failure> failure(const ModeCurves& curves,
     if (!bound) return Failure{mode, std::nullopt};  // conservative
     bounds[mode] = *bound;
   }
-  for (const std::size_t mode : {first_scan, 1 - first_scan}) {
-    if (bounds[mode] <= 0.0) continue;
-    if (const auto t = first_violation<F>(curves[mode], bounds[mode],
-                                          std::nullopt, &work)) {
-      first_scan = mode;
-      return Failure{mode, t};
-    }
+  // Where each scan goes on: its next breakpoint, +infinity once it has
+  // passed; a scan not yet started is at its first breakpoint.
+  std::array<double, 2> at{};
+  std::array<bool, 2> started{};
+  for (std::size_t mode = 0; mode < 2; ++mode) {
+    at[mode] = bounds[mode] > 0.0 ? first_breakpoint(curves[mode]) : kInf;
   }
-  return std::nullopt;
+  std::optional<Failure> failed;
+  for (;;) {
+    const std::size_t mode = at[1] < at[0] ? 1 : 0;  // the scan behind
+    if (at[mode] == kInf) break;                    // both passed
+    LaneScan<F>& scan = scans[mode];
+    if (!started[mode]) {
+      scan.start(curves[mode], bounds[mode]);
+      started[mode] = true;
+    }
+    scan.advance(kRaceRun);
+    if (const std::optional<double> t = scan.violation()) {
+      failed = Failure{mode, t};
+      break;
+    }
+    at[mode] = scan.next();
+  }
+  for (std::size_t mode = 0; mode < 2; ++mode) {
+    if (started[mode]) scans[mode].count(work);
+  }
+  return failed;
 }
 
 /// The certificate of a scan exit: whether the exact sum at the largest
@@ -418,16 +435,20 @@ struct Settled {
 template <Formula F>
 std::optional<double> uniform_scale(const TaskSet& ts,
                                     std::span<const std::size_t> members,
-                                    Work& work) {
-  std::vector<double> scales(members.size());
-  ModeCurves curves;
-  std::size_t first_scan = 1;  // 0 = LO, 1 = HI; see the file comment
+                                    GateScratch<F>& scratch, Work& work) {
+  std::vector<double>& scales = scratch.scales;
+  ModeCurves& curves = scratch.curves;
+  scales.resize(members.size());
+  std::array<double, kMaxCandidates> candidates{};
+  const std::size_t count =
+      scale_candidates(ts, members, scratch.utils, candidates);
   // Monotone exits (see the file comment): LO demand only falls as x
   // rises and HI demand only rises, so a candidate at or below `lo`, or at
   // or above `hi`, fails as that one did.
   std::optional<Settled> lo;
   std::optional<Settled> hi;
-  for (const double x : scale_candidates(ts, members)) {
+  for (std::size_t c = 0; c < count; ++c) {
+    const double x = candidates[c];
     if (x <= 0.0 || x > 1.0) continue;
     const bool below_lo = lo && x <= lo->x;
     const bool above_hi = hi && x >= hi->x;
@@ -439,7 +460,7 @@ std::optional<double> uniform_scale(const TaskSet& ts,
       continue;
     }
     const std::optional<Failure> failed =
-        failure<F>(curves, first_scan, work);
+        failure<F>(curves, scratch.scans, work);
     if (!failed) return x;
     std::optional<Settled>& side = failed->mode == 0 ? lo : hi;
     if (!side || (failed->mode == 0 ? x > side->x : x < side->x)) {
@@ -449,13 +470,19 @@ std::optional<double> uniform_scale(const TaskSet& ts,
   return std::nullopt;
 }
 
+template class LaneScan<Formula::kStep>;
+template class LaneScan<Formula::kCredited>;
 template std::optional<double> first_violation<Formula::kStep>(
-    std::span<const Curve>, double, std::optional<ScanResume>, Work*);
+    std::span<const Curve>, double, std::optional<ScanResume>);
 template std::optional<double> first_violation<Formula::kCredited>(
-    std::span<const Curve>, double, std::optional<ScanResume>, Work*);
+    std::span<const Curve>, double, std::optional<ScanResume>);
+template GateScratch<Formula::kStep>& gate_scratch();
+template GateScratch<Formula::kCredited>& gate_scratch();
 template std::optional<double> uniform_scale<Formula::kStep>(
-    const TaskSet&, std::span<const std::size_t>, Work&);
+    const TaskSet&, std::span<const std::size_t>,
+    GateScratch<Formula::kStep>&, Work&);
 template std::optional<double> uniform_scale<Formula::kCredited>(
-    const TaskSet&, std::span<const std::size_t>, Work&);
+    const TaskSet&, std::span<const std::size_t>,
+    GateScratch<Formula::kCredited>&, Work&);
 
 }  // namespace mcs::analysis::demand

@@ -23,18 +23,31 @@
 // factor and a grid of kScaleGrid steps, and accept the first that passes
 // (a candidate an earlier one settles is skipped; see Monotone exits).
 // A candidate passes only if four side-effect-free checks all pass: the LO
-// and HI busy-period bounds and the LO and HI breakpoint scans.  Their
-// order cannot change the verdict, so the cheapest go first.  Both O(n)
+// and HI busy-period bounds and the LO and HI breakpoint scans.  Both O(n)
 // bounds go first: over a third of the GE-FFD gate calls in h2 trials have
-// U_LO >= 1, and the LO bound rejects those at every candidate.  Then comes
-// the scan that rejected the previous candidate, HI for x = 1, where every
-// HI curve steps at t = 0.  At large x the HI scan fails early while the LO
-// scan passes in full, and at small x the reverse, so a fixed order would
-// pay for one full passing scan per candidate on one side of the grid.  On
-// the GE-FFD calls of 96 h2 trials a fixed HI-first order ran 3x as many
-// passing HI scans (29,087 against 9,757) and took 8.0 ms per trial against
-// 5.7.  tests/analysis/demand_parity_test.cpp pins the order bit for bit
-// against a copy that scans LO before HI.
+// U_LO >= 1, and the LO bound rejects those at every candidate.
+//
+// Race.  Then the two scans are judged together in ascending t, each a
+// LaneScan (first_violation's loop split into start and advance): the scan
+// whose next breakpoint is earlier judges the next kRaceRun (32)
+// breakpoints, and a scan starts only once its first breakpoint is the
+// earlier one.  The candidate fails at the first violation either scan
+// finds, and passes once both have passed.  One mode's scan often fails
+// early while the other's would pass in full -- HI at large x, LO at small
+// x -- and the race pays for the passing scan only up to about the failing
+// one's violation.  Why no result can change: each scan is a pure function
+// of its curves and its bound, and where it stops between two advances
+// changes nothing it returns (demand_scan_test runs scans in runs of 1, 2,
+// 5 and 32 breakpoints against the reference).  So a recorded failure is
+// that mode's exact first violation, the t the scan returns when run
+// alone, and that is all the monotone exits below use of it.  The race
+// decides only which mode's failure a candidate records first: it changes
+// how much work a candidate costs, never its verdict, and so never the
+// accepted scale.  Runs, not single breakpoints: traced sweep-demand runs
+// put UD-TPA/ge 12-16% slower with runs of 8 than without the race, while
+// runs of 32 and 128 read within noise of it and kept DBF-FFD's gain.  On
+// the 2000-trial h2 sweep the scans judge 54,486 breakpoints per
+// trial against 82,583 before the race and GE's repeated-state exit.
 //
 // Monotone exits.  A larger x moves every HI member's LO deadline later and
 // its HI deadline earlier, so LO demand can only fall as x rises and HI
@@ -68,10 +81,17 @@
 //     candidate's, and between breakpoints demand - t never rises.  On the
 //     GE and DBF calls of 100 h2 trials it held for all 437,128 candidates
 //     it was asked about.
-// Candidates keep their order and the adaptive first scan its rule.
-// demand_parity_test.cpp pins verdicts and scales against a copy that
-// judges every candidate, and its MonotoneExitsSettleOnlyTheirOwnSide sets
-// fail an exit that looks the wrong way.
+// Candidates keep their order.  demand_parity_test.cpp pins verdicts and
+// scales against a copy that judges every candidate and scans LO before HI
+// in full, and its MonotoneExitsSettleOnlyTheirOwnSide sets fail an exit
+// that looks the wrong way.
+//
+// Buffers.  A gate call runs on the calling thread's GateScratch: curves,
+// the two LaneScans (lane heap, ramp starts), scales and the utilization
+// matrix grow once and are reused, so a gate call does not allocate
+// (tests/partition/allocation_free_test).  Each call counts its work --
+// candidates judged, scans, judged breakpoints, exact sums -- and adds it
+// to the demand.* counters once (Work::flush).
 //
 // Running-sum scan.  first_violation visits the distinct breakpoints in
 // ascending order and returns the first t whose exact sum -- curve_demand
@@ -257,13 +277,146 @@ struct ScanResume {
 /// registry costs one branch per counter and call.
 struct Work {
   std::uint64_t candidates = 0;   ///< tier-1 candidates judged in full
-  std::uint64_t scans = 0;        ///< breakpoint scans run
+  std::uint64_t scans = 0;        ///< breakpoint scans started
   std::uint64_t breakpoints = 0;  ///< distinct breakpoints judged
   std::uint64_t exact_sums = 0;   ///< ... of which the exact sum took
 
   /// Adds the counts to demand.candidates, .scans, .breakpoints and
   /// .exact_sums.
   void flush() const;
+};
+
+namespace detail {
+
+/// The demand a scan carries from one breakpoint to the next, and the
+/// running terms of its error bound (see the file comment).  Plain values:
+/// the per-curve ramp starts live in the scan's buffer.
+template <Formula F>
+class CarriedDemand {
+ public:
+  /// Fires the deadline step of curve c, ramp_of[curve], at t; false if
+  /// its ramp is open.  `ramp_of` is the scan's ramp buffer (empty under
+  /// kStep).
+  bool step(const Curve& c, double* ramp_of, std::uint32_t curve, double t) {
+    steps_ += c.cost;
+    fired_ += 1.0;
+    if (F == Formula::kStep || c.credit == 0.0) return true;
+    double& ramp = ramp_of[curve];
+    const bool closed = ramp == 0.0;
+    ramp = c.credit + t;
+    ramps_ += 1.0;
+    ramp_sum_ += ramp;
+    ramp_ops_ += std::abs(ramp_sum_);
+    return closed;
+  }
+
+  /// Fires the credit kink of curve `curve`; false if its ramp is not
+  /// open.
+  bool kink(double* ramp_of, std::uint32_t curve) {
+    double& ramp = ramp_of[curve];
+    const bool open = ramp != 0.0;
+    ramps_ -= 1.0;
+    // With no ramp open the true sum is 0: drop its rounding error.
+    ramp_sum_ = ramps_ == 0.0 ? 0.0 : ramp_sum_ - ramp;
+    ramp_ops_ = ramps_ == 0.0 ? 0.0 : ramp_ops_ + std::abs(ramp_sum_);
+    ramp = 0.0;
+    return open;
+  }
+
+  /// Starts a resumed scan from `steps`, the summed cost of the deadline
+  /// steps fired before its start, formed in `ops` roundings.
+  void reseed(double steps, double ops) {
+    steps_ = steps;
+    fired_ = ops;
+  }
+
+  [[nodiscard]] double estimate(double t) const {
+    if constexpr (F == Formula::kStep) return steps_;
+    return steps_ - (ramp_sum_ - ramps_ * t);
+  }
+
+  /// Bounds |estimate(t) - the exact sum at t| for a scan of n curves whose
+  /// per-curve drift and rounding are within `curve_error`.
+  [[nodiscard]] double error(double t, double estimate, double n,
+                             double curve_error) const {
+    constexpr double kRoundoff = 0x1p-53;
+    constexpr double kUnderflow = 0x1p-1000;  // subnormal rounding
+    return 2.0 * (kRoundoff * ((fired_ + n + 2.0) * steps_ + ramp_ops_ +
+                               2.0 * (ramp_sum_ + ramps_ * t +
+                                      std::abs(estimate))) +
+                  curve_error) +
+           kUnderflow;
+  }
+
+ private:
+  double steps_ = 0.0;     // summed cost of the fired deadline steps
+  double fired_ = 0.0;     // roundings in steps_
+  double ramps_ = 0.0;     // open credit ramps
+  double ramp_sum_ = 0.0;  // their summed credit + start
+  double ramp_ops_ = 0.0;  // summed |ramp_sum_| since ramps_ was last 0
+};
+
+}  // namespace detail
+
+/// One breakpoint scan that can stop and go on: first_violation is start
+/// plus one advance over every breakpoint, and the uniform tier races two
+/// of them (see the file comment).  Owns its lane heap and carried demand,
+/// so a scan kept across calls reuses its buffers.  Takes fewer than 2^32
+/// curves.
+template <Formula F>
+class LaneScan {
+ public:
+  /// Starts a scan of `curves` up to `bound`; the curves must stay as they
+  /// are while the scan runs.  With `resume`, the scan starts at resume->t
+  /// where the file comment's argument allows, and may find its violation
+  /// here.
+  void start(std::span<const Curve> curves, double bound,
+             std::optional<ScanResume> resume = std::nullopt);
+
+  /// Judges the next `run` distinct breakpoints in ascending order, or
+  /// fewer where the scan violates or passes its bound on the way.  Where
+  /// the scan stops between two advances does not change what it returns.
+  void advance(std::size_t run);
+
+  /// Whether the scan has violated or passed every breakpoint.
+  [[nodiscard]] bool finished() const noexcept {
+    return violation_.has_value() || heap_.empty();
+  }
+  /// The first violating t, once the scan has found it.
+  [[nodiscard]] std::optional<double> violation() const noexcept {
+    return violation_;
+  }
+  /// Where the next advance starts; +infinity once finished.
+  [[nodiscard]] double next() const noexcept;
+  /// Adds this scan to `work`: one scan, its judged breakpoints and the
+  /// exact sums among them.
+  void count(Work& work) const noexcept;
+
+ private:
+  /// One breakpoint stream: a curve's deadline steps, or under kCredited
+  /// its credit kinks.
+  struct Lane {
+    double next;          ///< next breakpoint of this lane
+    std::uint32_t curve;  ///< index into curves_ (< 2^32 of them)
+    std::uint32_t jobs;   ///< deadline steps fired, or kKink for a kink
+  };
+
+  void add_lane(double next, std::size_t curve, std::uint32_t jobs);
+
+  std::span<const Curve> curves_;
+  std::vector<Lane> heap_;        ///< min-heap on Lane::next
+  std::vector<double> ramp_of_;   ///< per curve: open ramp's start, or 0
+  detail::CarriedDemand<F> carried_;
+  bool filtered_ = false;  ///< whether the carried demand may decide
+  double reach_ = 0.0;     ///< a lane ends past this
+  double window_ = 0.0;
+  double n_ = 0.0;         ///< number of curves
+  double curve_error_ = 0.0;
+  double dropped_ = 0.0;   ///< the least lane value past reach_
+  double last_ = -1.0;     ///< the previous distinct breakpoint
+  std::optional<double> violation_;
+  std::uint64_t judged_ = 0;
+  std::uint64_t exact_sums_ = 0;
 };
 
 /// Scans the summed demand against t at every breakpoint up to `bound` and
@@ -273,17 +426,33 @@ struct Work {
 /// carried between breakpoints, and the result is the exact sum's bit for
 /// bit (see the file comment).  With `resume`, the scan starts at
 /// resume->t where the file comment's argument allows and returns the same
-/// t as a full scan.  Counts the scan into `work` when given.  Takes fewer
-/// than 2^32 curves.
+/// t as a full scan.  One LaneScan, started and advanced to its end.
 template <Formula F>
 [[nodiscard]] std::optional<double> first_violation(
     std::span<const Curve> curves, double bound,
-    std::optional<ScanResume> resume = std::nullopt, Work* work = nullptr);
+    std::optional<ScanResume> resume = std::nullopt);
+
+/// The buffers of one thread's gate calls of one formula, kept so that a
+/// gate call does not allocate once they have grown.
+template <Formula F>
+struct GateScratch {
+  ModeCurves curves;
+  std::array<LaneScan<F>, 2> scans;  ///< LO and HI
+  std::vector<double> scales;        ///< per member
+  std::vector<double> replay;        ///< GE tuning: a replayed state
+  UtilMatrix utils{2};               ///< the members' utilizations
+};
+
+/// The calling thread's scratch.
+template <Formula F>
+[[nodiscard]] GateScratch<F>& gate_scratch();
 
 /// The uniform-scale tier (see the file comment): the first candidate x
-/// that passes both modes, or nullopt.  Counts its work into `work`.
+/// that passes both modes, or nullopt.  Runs on `scratch` and counts its
+/// work into `work`.
 template <Formula F>
 [[nodiscard]] std::optional<double> uniform_scale(
-    const TaskSet& ts, std::span<const std::size_t> members, Work& work);
+    const TaskSet& ts, std::span<const std::size_t> members,
+    GateScratch<F>& scratch, Work& work);
 
 }  // namespace mcs::analysis::demand

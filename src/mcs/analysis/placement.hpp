@@ -32,8 +32,9 @@
 // Engines are reusable across task sets via reset() — the Monte-Carlo
 // harness keeps one engine per worker chunk so per-trial state (planes,
 // lane scratch, orders and scheme buffers included) is recycled instead of
-// reallocated: the paper's schemes run a trial without a heap allocation
-// (tests/partition/allocation_free_test).
+// reallocated: the paper's schemes and the demand-gated ones run a trial
+// without a heap allocation (tests/partition/allocation_free_test; the
+// demand gates keep their scan buffers per thread, demand_core.hpp).
 #pragma once
 
 #include <array>
@@ -110,8 +111,13 @@ class PlacementEngine {
     std::vector<Candidate> candidates;    ///< one per core
     std::vector<unsigned char> feasible;  ///< one per core
     std::vector<ProbeResult> probes;      ///< one per core
-    /// Task groups placed one after the other (Hybrid: high, then low).
+    /// Task groups placed one after the other (Hybrid: high, then low;
+    /// UD-TPA: multi-level, then single-level).
     std::array<std::vector<std::size_t>, 2> groups;
+    /// A core's members plus the task a demand gate tries on it.
+    std::vector<std::size_t> members;
+    std::vector<double> task_keys;  ///< per task (UD-TPA: differences)
+    std::vector<double> core_keys;  ///< one per core (UD-TPA: their load)
   };
 
   /// The scheme buffers; the per-core ones hold num_cores() entries.

@@ -23,7 +23,7 @@ bool demand_fits(analysis::PlacementEngine& engine, DemandTest test,
   const TaskSet& ts = engine.taskset();
   return test == DemandTest::kDbf
              ? analysis::dbf_dual_test(ts, members).schedulable
-             : analysis::ge_dual_test(ts, members).schedulable;
+             : analysis::ge_dual_schedulable(ts, members);
 }
 
 PlacementOutcome DemandFfdPartitioner::run_on(
@@ -36,7 +36,7 @@ PlacementOutcome DemandFfdPartitioner::run_on(
     throw std::invalid_argument(name() +
                                 ": requires a dual-criticality task set");
   }
-  std::vector<std::size_t> members;  // reused across probes
+  std::vector<std::size_t>& members = engine.buffers().members;
   PlacementOutcome outcome;
   // First feasible core wins, so the fill probes cores in index order and
   // stops there; later cores are never probed (or counted).

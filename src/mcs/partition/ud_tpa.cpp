@@ -28,10 +28,15 @@ PlacementOutcome UdTpaPartitioner::run_on(
   }
 
   // diff_i = u_i(l_i) - u_i(1): zero for single-level tasks, which is what
-  // routes them into phase 2.
-  std::vector<double> diff(ts.size(), 0.0);
-  std::vector<std::size_t> multi;
-  std::vector<std::size_t> single;
+  // routes them into phase 2.  Every buffer is the engine's, so a recycled
+  // trial allocates nothing.
+  analysis::PlacementEngine::SchemeBuffers& buffers = engine.buffers();
+  std::vector<double>& diff = buffers.task_keys;
+  std::vector<std::size_t>& multi = buffers.groups[0];
+  std::vector<std::size_t>& single = buffers.groups[1];
+  diff.assign(ts.size(), 0.0);
+  multi.clear();
+  single.clear();
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const McTask& task = ts[i];
     if (task.level() >= 2) {
@@ -57,7 +62,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
 
   // The acceptance gate: one all-cores mask per task.  The GE gate works
   // off member lists, so it probes core by core.
-  std::vector<std::size_t> members;  // reused across GE probes
+  std::vector<std::size_t>& members = buffers.members;
   const auto gate = [&](std::size_t t, std::span<unsigned char> feasible) {
     switch (gate_) {
       case UdGate::kTheorem1:
@@ -75,7 +80,8 @@ PlacementOutcome UdTpaPartitioner::run_on(
   };
 
   // Phase 1: spread the utilization differences (worst-fit on diff load).
-  std::vector<double> diff_load(engine.num_cores(), 0.0);
+  std::vector<double>& diff_load = buffers.core_keys;
+  std::fill(diff_load.begin(), diff_load.end(), 0.0);
   PlacementOutcome outcome;
   outcome.failed_task = place_in_order_batched(
       engine, multi, SelectionRule::kMinKey,

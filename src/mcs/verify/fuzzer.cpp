@@ -110,23 +110,45 @@ std::string check_case(FuzzTarget target, const FuzzCase& c,
   return {};
 }
 
+/// The check of one case: options.check when set, else the target's.
+std::string check_with(const FuzzOptions& options, const FuzzCase& c,
+                       const TrialParams& p) {
+  return options.check ? options.check(c)
+                       : check_case(options.target, c, p.scheme, p.case_seed);
+}
+
+/// Shrinks the failing case of `trial`.  The case is re-checked first: one
+/// that no longer fails is kept as found, since shrink() needs a predicate
+/// that holds on it.
 Finding shrink_finding(const FuzzOptions& options, const TrialParams& p,
                        std::uint64_t trial, std::string detail) {
-  const FuzzCase original = make_case(p, trial);
+  FuzzCase original = make_case(p, trial);
+  const std::size_t original_tasks = original.ts.size();
   const FailurePredicate predicate = [&](const FuzzCase& candidate) {
-    return !check_case(options.target, candidate, p.scheme, p.case_seed)
-                .empty();
+    return !check_with(options, candidate, p).empty();
   };
-  ShrinkResult shrunk = shrink(original, predicate, options.shrink);
+  const bool failed_again = predicate(original);
+  ShrinkResult shrunk = failed_again
+                            ? shrink(original, predicate, options.shrink)
+                            : ShrinkResult{std::move(original), 0, 0};
   return Finding{
       trial,
       std::move(detail),
       options.target == FuzzTarget::kSoundness ? p.scheme : std::string{},
       std::move(shrunk.minimized),
-      original.ts.size(),
+      original_tasks,
       shrunk.steps,
       shrunk.attempts,
-      std::string{}};
+      std::string{},
+      std::string{},
+      failed_again};
+}
+
+/// " (did not fail again on re-check; kept unshrunk)" for such a finding.
+std::string recheck_note(const Finding& finding) {
+  return finding.failed_again
+             ? std::string{}
+             : std::string{" (did not fail again on re-check; kept unshrunk)"};
 }
 
 void save_finding(const FuzzOptions& options, Finding& finding) {
@@ -142,7 +164,7 @@ void save_finding(const FuzzOptions& options, Finding& finding) {
   std::ostringstream note;
   note << "found by mcs_fuzz --target=" << target_name(options.target)
        << " --seed=" << options.seed << " (trial " << finding.trial << "); "
-       << finding.detail;
+       << finding.detail << recheck_note(finding);
   meta.note = note.str();
   save_corpus_case(path.str(), CorpusCase{std::move(meta), finding.shrunk.ts});
   finding.corpus_path = path.str();
@@ -235,8 +257,9 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     util::parallel_for(
         static_cast<std::size_t>(n),
         [&](std::size_t i) {
-          failures[i] =
-              run_trial(options.target, options.seed, next_trial + i);
+          const std::uint64_t trial = next_trial + i;
+          const TrialParams p = draw_params(options.seed, trial);
+          failures[i] = check_with(options, make_case(p, trial), p);
         },
         options.threads);
     for (std::size_t i = 0; i < failures.size(); ++i) {
@@ -276,10 +299,17 @@ std::string describe(const FuzzReport& report) {
     const Finding& f = report.findings[i];
     os << "\nfinding #" << i + 1 << " (trial " << f.trial;
     if (!f.scheme.empty()) os << ", scheme " << f.scheme;
-    os << "): " << f.detail << "\n  shrunk " << f.original_tasks << " -> "
-       << f.shrunk.ts.size() << " tasks (K=" << f.shrunk.ts.num_levels()
-       << ", M=" << f.shrunk.num_cores << ") in " << f.shrink_steps
-       << " steps / " << f.shrink_attempts << " attempts";
+    os << "): " << f.detail;
+    if (f.failed_again) {
+      os << "\n  shrunk " << f.original_tasks << " -> " << f.shrunk.ts.size()
+         << " tasks (K=" << f.shrunk.ts.num_levels()
+         << ", M=" << f.shrunk.num_cores << ") in " << f.shrink_steps
+         << " steps / " << f.shrink_attempts << " attempts";
+    } else {
+      os << "\n  did not fail again on re-check; kept unshrunk ("
+         << f.original_tasks << " tasks, K=" << f.shrunk.ts.num_levels()
+         << ", M=" << f.shrunk.num_cores << ")";
+    }
     if (!f.corpus_path.empty()) {
       os << "\n  reproducer: " << f.corpus_path << " (replay with "
          << "mcs_fuzz --replay <file>)";

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,9 @@ struct FuzzOptions {
   /// <target>_seed<seed>_trial<trial>.mcs.
   std::string corpus_dir;
   ShrinkOptions shrink;
+  /// When set, replaces the target's check: the failure detail on a case,
+  /// or empty when it is clean.  Tests use it to drive the finding path.
+  std::function<std::string(const FuzzCase&)> check;
 };
 
 /// One shrunk, reproducible failure.
@@ -73,6 +77,9 @@ struct Finding {
   /// Flight-recorder dump (trace of the failing trial re-run with spans on);
   /// written next to the corpus file, "" when no corpus dir is configured.
   std::string flight_path;
+  /// False when the case passed its re-check before shrinking (a race or a
+  /// timing-dependent check): the finding is kept as found, unshrunk.
+  bool failed_again = true;
 };
 
 struct FuzzReport {

@@ -10,15 +10,18 @@
 #include <cstdint>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "demand_reference.hpp"
 #include "mcs/analysis/dbf.hpp"
+#include "mcs/analysis/demand_core.hpp"
 #include "mcs/analysis/ge_test.hpp"
 #include "mcs/gen/rng.hpp"
 #include "mcs/gen/taskset_generator.hpp"
+#include "mcs/obs/metrics.hpp"
 
 namespace mcs::analysis {
 namespace {
@@ -183,6 +186,60 @@ TEST(DemandParityTest, PingPongTuningRejectsLikeTheCap) {
   EXPECT_TRUE(same_ge(ge_dual_test(ts, members), want));
 }
 
+// Drawn from a GE-FFD placement of an h2 trial (NSU 0.9, core members plus
+// the task tried).  Tier 1 rejects every uniform scale, and the tuning walk
+// stands after its 14th move on the state it left 8 moves earlier, without
+// ever undoing the move just before: a check for 2-cycles never fires, and
+// the reference runs all 48 iterations to its cap.  The library ends at
+// the repeated state, 34 iterations sooner (its demand.tier2_cycle counter
+// moves, not .tier2_cap), with the same rejection.
+TEST(DemandParityTest, RepeatedStateTuningRejectsLikeTheCap) {
+  const TaskSet ts(
+      {
+          // T=434.72 C(LO)=56.07 C(HI)=78.50
+          McTask(0, {0x1.c08baf1dbbdfep+5, 0x1.39fb60fb36b65p+6},
+                 0x1.b2b7dbdfdd73ep+8),
+          // T=453.42 C(LO)=57.62 C(HI)=80.67
+          McTask(1, {0x1.ccfbccf806ba8p+5, 0x1.42b042ad9e4f5p+6},
+                 0x1.c56c4f971efdap+8),
+          // T=475.01 C(LO)=59.58 C(HI)=83.41
+          McTask(2, {0x1.dca82cdecf653p+5, 0x1.4da8ec35912d3p+6},
+                 0x1.db023370ba8b3p+8),
+          // T=1244.57 C(LO)=145.55 C(HI)=203.77
+          McTask(3, {0x1.23189cb7010fcp+7, 0x1.9788db669b16p+7},
+                 0x1.372440b0d6b3bp+10),
+          // T=108.98 C(LO)=12.55 C(HI)=17.57
+          McTask(4, {0x1.917e903e63f3bp+3, 0x1.190bcb5edf90fp+4},
+                 0x1.b3e7c770f9c24p+6),
+          // T=261.31 C(LO)=31.55
+          McTask(5, {0x1.f8d7a50f2170fp+4}, 0x1.05501925ae33cp+8),
+          // T=1011.26 C(LO)=121.79
+          McTask(6, {0x1.e72d2576ca834p+6}, 0x1.f9a1af9e27c63p+9),
+          // T=739.02 C(LO)=60.08 C(HI)=84.11
+          McTask(7, {0x1.e0a33c9c99f47p+5, 0x1.5072440738918p+6},
+                 0x1.71821ce745decp+9),
+      },
+      2);
+  const std::vector<std::size_t> members = all_of(ts);
+  reference::GeTuning tuning;
+  const GeResult want = reference::ge_dual_test(ts, members, &tuning);
+  ASSERT_TRUE(tuning.entered);
+  EXPECT_TRUE(tuning.hit_cap);
+  EXPECT_FALSE(tuning.undid_move);
+  EXPECT_EQ(tuning.repeat_at, 14u);
+  EXPECT_EQ(tuning.cycle, 8u);
+  EXPECT_FALSE(want.schedulable);
+
+  const obs::MetricsEnabledGuard metrics_on(true);
+  obs::Counter& cycle_exits = obs::registry().counter("demand.tier2_cycle");
+  obs::Counter& cap_exits = obs::registry().counter("demand.tier2_cap");
+  const std::uint64_t cycles = cycle_exits.value();
+  const std::uint64_t caps = cap_exits.value();
+  EXPECT_TRUE(same_ge(ge_dual_test(ts, members), want));
+  EXPECT_EQ(cycle_exits.value() - cycles, 1u);
+  EXPECT_EQ(cap_exits.value() - caps, 0u);
+}
+
 // Shrunk from the grid above.  Tier 1 rejects every uniform scale; the
 // tuning tier accepts after two moves with two different HI scales.
 TEST(DemandParityTest, TuningTierAcceptanceKeepsItsScales) {
@@ -210,6 +267,58 @@ TEST(DemandParityTest, TuningTierAcceptanceKeepsItsScales) {
   EXPECT_EQ(want.scales,
             (std::vector<double>{1.0, 0.5, 0x1.3333333333334p-1, 1.0}));
   EXPECT_TRUE(same_ge(ge_dual_test(ts, members), want));
+}
+
+// Drawn from random subsets like the grid above.  Candidate x = 1 fails
+// HI and 1 - U_2(2) fails LO.  At the third, the EDF-VD factor, the LO
+// scan passes all 42 breakpoints up to its bound while the HI scan fails
+// at its first, t = 350.7, far below that bound: the uniform tier races
+// the two scans and drops the passing LO scan part way.  GE then accepts
+// at x = 0.75 in tier 1.  Verdict and scale must not move.
+TEST(DemandParityTest, RacedScansKeepTheVerdictAndScale) {
+  const TaskSet ts(
+      {
+          // T=1765.59 C(LO)=421.92 C(HI)=799.72
+          McTask(0, {0x1.a5eb4f8dc0d37p+8, 0x1.8fdcc141d91e9p+9},
+                 0x1.b965b9e0ad435p+10),
+          // T=75.26 C(LO)=16.95
+          McTask(1, {0x1.0f3073447e9bbp+4}, 0x1.2d058fc2ceb5ap+6),
+          // T=584.06 C(LO)=51.33
+          McTask(2, {0x1.9aa3061837c95p+5}, 0x1.24084b6a9525p+9),
+          // T=118.60 C(LO)=21.68
+          McTask(3, {0x1.5adb638b5786bp+4}, 0x1.da61d9012054ap+6),
+          // T=137.00 C(LO)=28.21
+          McTask(4, {0x1.c35398d2eb6d4p+4}, 0x1.12004cadf05dap+7),
+      },
+      2);
+  const std::vector<std::size_t> members = all_of(ts);
+  constexpr double kEdfVd = 0x1.9a4c1419d973bp-1;  // 0.8014
+  demand::ModeCurves curves;
+  demand::build_curves(ts, members,
+                       std::vector<double>(members.size(), kEdfVd), curves);
+  const std::optional<double> lo_bound = demand::analysis_bound(curves[0]);
+  const std::optional<double> hi_bound = demand::analysis_bound(curves[1]);
+  ASSERT_TRUE(lo_bound && hi_bound);
+  reference::ScanStats lo_scan;
+  reference::ScanStats hi_scan;
+  EXPECT_FALSE(reference::first_violation<demand::Formula::kCredited>(
+      curves[0], *lo_bound, &lo_scan));
+  const std::optional<double> hi_violation =
+      reference::first_violation<demand::Formula::kCredited>(
+          curves[1], *hi_bound, &hi_scan);
+  ASSERT_TRUE(hi_violation);
+  EXPECT_EQ(lo_scan.breakpoints, 42u);
+  EXPECT_EQ(hi_scan.breakpoints, 1u);
+  EXPECT_LT(*hi_violation, *lo_bound / 4.0);
+
+  reference::GeTuning tuning;
+  const GeResult want = reference::ge_dual_test(ts, members, &tuning);
+  EXPECT_FALSE(tuning.entered);
+  ASSERT_TRUE(want.schedulable);
+  EXPECT_EQ(want.scales[0], 0.75);
+  EXPECT_TRUE(same_ge(ge_dual_test(ts, members), want));
+  EXPECT_TRUE(same_dbf(dbf_dual_test(ts, members),
+                       reference::dbf_dual_test(ts, members)));
 }
 
 // Two one-core sets where a check fails by its busy-period bound at one

@@ -269,6 +269,7 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
   std::size_t last_moved = members.size();
   double last_prior = 0.0;
   bool after_lo_move = false;
+  std::vector<std::vector<double>> visited{scales};  // after 0, 1, ... moves
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     const auto violation = ge_violation(
         ts, members, scales,
@@ -306,6 +307,13 @@ GeResult ge_dual_test(const TaskSet& ts, std::span<const std::size_t> members,
     }
     last_moved = best;
     last_prior = prior;
+    for (std::size_t j = 0; j < visited.size() && trace.repeat_at == 0; ++j) {
+      if (visited[j] == scales) {
+        trace.repeat_at = trace.moves;
+        trace.cycle = trace.moves - j;
+      }
+    }
+    visited.push_back(scales);
   }
   trace.hit_cap = true;
   return result;

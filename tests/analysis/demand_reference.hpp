@@ -53,6 +53,10 @@ struct GeTuning {
   /// Some move took the previously moved scale back to the exact double it
   /// held before that move (the greedy walk revisited a state).
   bool undid_move = false;
+  /// Moves after which the walk first stood on a state it had visited
+  /// before (0: never), and how many moves that cycle took.
+  std::size_t repeat_at = 0;
+  std::size_t cycle = 0;
   /// LO scans run right after an LO move, which the library resumes.
   std::size_t lo_scans_after_lo_move = 0;
 };

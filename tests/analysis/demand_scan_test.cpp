@@ -335,6 +335,74 @@ TEST(DemandScanTest, ReturnsTheReferenceTimeBitForBit) {
             << " near ties\n";
 }
 
+/// Runs `set` on `scan` (kept across sets, so its buffers are reused) in
+/// runs of `run` breakpoints, as the uniform tier's race does, and compares
+/// the violation with the reference's, bit for bit, and the breakpoints
+/// the scan counts with the distinct breakpoints the reference judged.
+template <Formula F>
+::testing::AssertionResult same_scan_in_runs(const CurveSet& set,
+                                             std::size_t run,
+                                             demand::LaneScan<F>& scan) {
+  reference::ScanStats stats;
+  const std::optional<double> want =
+      reference::first_violation<F>(set.curves, set.bound, &stats);
+  scan.start(set.curves, set.bound);
+  double at = -std::numeric_limits<double>::infinity();
+  while (!scan.finished()) {
+    if (!(scan.next() >= at)) {
+      return ::testing::AssertionFailure() << "next() went back";
+    }
+    at = scan.next();
+    scan.advance(run);
+  }
+  demand::Work work;
+  scan.count(work);
+  const std::optional<double> got = scan.violation();
+  const auto bits = [](const std::optional<double>& t) {
+    return t ? std::bit_cast<std::uint64_t>(*t) : std::uint64_t{0};
+  };
+  if (want.has_value() == got.has_value() && bits(want) == bits(got) &&
+      work.scans == 1 && work.breakpoints == stats.breakpoints &&
+      scan.next() == std::numeric_limits<double>::infinity()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::hexfloat << (F == Formula::kStep ? "kStep" : "kCredited")
+         << " in runs of " << run << ": got " << (got ? *got : -1.0)
+         << " after " << work.breakpoints << " breakpoints vs reference "
+         << (want ? *want : -1.0) << " after " << stats.breakpoints;
+}
+
+// A scan that stops every `run` breakpoints and goes on returns what it
+// returns in one go, whatever the run, and counts the breakpoints it
+// judged.
+TEST(DemandScanTest, ScanInRunsReturnsTheReferenceTime) {
+  constexpr std::array<std::size_t, 4> kRuns{1, 2, 5, 32};
+  demand::LaneScan<Formula::kStep> step_scan;
+  demand::LaneScan<Formula::kCredited> credited_scan;
+  gen::Rng rng(20261020);
+  std::size_t sets = 0;
+  const auto check = [&](const CurveSet& set) {
+    const std::size_t run = kRuns[sets++ % kRuns.size()];
+    EXPECT_TRUE(same_scan_in_runs(set, run, step_scan)) << describe(set);
+    EXPECT_TRUE(same_scan_in_runs(set, run, credited_scan)) << describe(set);
+    return !::testing::Test::HasFailure();
+  };
+  for (std::uint64_t draw = 0; draw < 1000; ++draw) {
+    for (const CurveSet& set : generated(rng, draw)) {
+      if (!check(set)) return;
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    if (!check(commensurate(rng)) || !check(decimal(rng)) ||
+        !check(credit_at_cost(rng)) || !check(short_period(rng)) ||
+        !check(near_tie<Formula::kCredited>(rng))) {
+      return;
+    }
+  }
+  EXPECT_GE(sets, 10000u);
+}
+
 // Two sets where the floor formula's 1e-9 tolerance counts a job that no
 // lane has fired at the judged t, so the scan must leave t to the exact
 // sum.  The random families above almost never build either.

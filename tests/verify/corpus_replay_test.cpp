@@ -86,6 +86,42 @@ TEST(FuzzSmokeTest, TrialRunnerIsDeterministic) {
   }
 }
 
+// A check that fails on its first call and passes after it, as a race or a
+// timing-dependent check would: the finding must survive its failed
+// re-check, unshrunk, with its reproducer written and the note in the
+// report, instead of ending the run in shrink()'s precondition.
+TEST(FuzzSmokeTest, FindingThatDoesNotFailAgainIsKeptUnshrunk) {
+  const std::string dir = ::testing::TempDir() + "fuzz_flaky_finding";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  int calls = 0;
+  FuzzOptions options;
+  options.target = FuzzTarget::kDifferential;
+  options.max_trials = 1;
+  options.threads = 1;
+  options.corpus_dir = dir;
+  options.check = [&calls](const FuzzCase&) {
+    return calls++ == 0 ? std::string("flaky failure") : std::string();
+  };
+  const FuzzReport report = run_fuzz(options);
+  EXPECT_EQ(calls, 2);  // the trial, then the re-check
+  ASSERT_EQ(report.findings.size(), 1u);
+  const Finding& finding = report.findings[0];
+  EXPECT_FALSE(finding.failed_again);
+  EXPECT_EQ(finding.detail, "flaky failure");
+  EXPECT_EQ(finding.shrunk.ts.size(), finding.original_tasks);
+  EXPECT_EQ(finding.shrink_attempts, 0u);
+  ASSERT_FALSE(finding.corpus_path.empty());
+  EXPECT_TRUE(std::filesystem::exists(finding.corpus_path));
+  EXPECT_NE(load_corpus_case(finding.corpus_path)
+                .meta.note.find("did not fail again on re-check"),
+            std::string::npos);
+  EXPECT_NE(describe(report).find("did not fail again on re-check"),
+            std::string::npos)
+      << describe(report);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FuzzSmokeTest, ShortBudgetedRunIsClean) {
   FuzzOptions options;
   options.target = FuzzTarget::kDifferential;

@@ -40,31 +40,34 @@ template <std::size_t Paths, typename Run>
   return best;
 }
 
+namespace detail {
+
+/// `iters` construct/destroy pairs of a disabled ScopedSpan.  The loop has
+/// a function of its own that starts on a 64-byte boundary, so where its
+/// branch falls against the 32-byte boundaries depends on this function's
+/// code alone, not on edits elsewhere in the bench that includes it.  On
+/// Skylake-family cores a branch that crosses such a boundary decodes
+/// slowly, and the same loop reads 0.35 or 0.69 ns per span depending on
+/// where it lands.
+[[gnu::noinline, gnu::aligned(64)]] inline void run_disabled_spans(
+    std::size_t iters) {
+  static constexpr obs::TraceSite kSite{"bench.disabled_span", "i"};
+  for (std::size_t i = 0; i < iters; ++i) {
+    const obs::ScopedSpan span(kSite, i);
+  }
+}
+
+}  // namespace detail
+
 /// Average cost of one *disabled* ScopedSpan, the relaxed-atomic gate check
 /// every instrumented call pays when tracing is off.  Best of `rounds` over
-/// `iters` construct/destroy pairs, rounded up to a multiple of eight.
-///
-/// The spans run eight to a loop iteration, so that the loop's own compare
-/// and branch are a small part of what is timed.  With one span per
-/// iteration they were about half of it, and on Skylake-family cores a
-/// branch that crosses a 32-byte boundary decodes slowly, so the same code
-/// read 0.35 or 0.69 ns depending on where the compiler placed the loop.
+/// `iters` construct/destroy pairs.
 [[nodiscard]] inline double time_disabled_span_ns(std::size_t iters,
                                                   std::size_t rounds) {
-  static constexpr obs::TraceSite kSite{"bench.disabled_span", "i"};
-  constexpr std::size_t kSpansPerLoop = 8;
-  const std::size_t loops = (iters + kSpansPerLoop - 1) / kSpansPerLoop;
   const obs::TraceEnabledGuard off(false);
-  const std::array<double, 1> best =
-      best_interleaved_seconds<1>(rounds, [&](std::size_t) {
-        for (std::size_t i = 0; i < loops; ++i) {
-#pragma GCC unroll 8
-          for (std::size_t k = 0; k < kSpansPerLoop; ++k) {
-            const obs::ScopedSpan span(kSite, i);
-          }
-        }
-      });
-  return best[0] * 1e9 / static_cast<double>(loops * kSpansPerLoop);
+  const std::array<double, 1> best = best_interleaved_seconds<1>(
+      rounds, [&](std::size_t) { detail::run_disabled_spans(iters); });
+  return best[0] * 1e9 / static_cast<double>(iters);
 }
 
 }  // namespace mcs::bench

@@ -53,12 +53,10 @@
 // a 64-bit fingerprint of each visited state (a wrapping sum of per-member
 // mixes, updated in O(1) per move) and the list of moves, not the states;
 // a fingerprint match is confirmed by replaying the moves from the start
-// with the same additions and comparing bit for bit.  On the 2000-trial h2
-// sweep the tier now ends at the cap 0.07 times per trial against 0.50
-// with the old exit, which caught only 2-cycles (a move undoing the one
-// before it).  tests/analysis/demand_parity_test.cpp pins this exit bit
-// for bit against a copy that runs every iteration up to the cap,
-// including a walk whose first repeat closes an 8-move cycle.
+// with the same additions and comparing bit for bit.
+// tests/analysis/demand_parity_test.cpp pins this exit bit for bit
+// against a copy that runs every iteration up to the cap, including a walk
+// whose first repeat closes an 8-move cycle.
 #pragma once
 
 #include <cstddef>

@@ -55,7 +55,6 @@ void PlacementEngine::reset(const TaskSet& ts, std::size_t num_cores) {
   buffers_.candidates.assign(num_cores, Candidate{});
   buffers_.feasible.assign(num_cores, 0);
   buffers_.probes.assign(num_cores, ProbeResult{});
-  buffers_.core_keys.assign(num_cores, 0.0);
   scratch_.reset(ts.num_levels());
   util_.assign(num_cores, 0.0);
   probes_ = 0;

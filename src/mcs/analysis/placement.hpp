@@ -117,7 +117,7 @@ class PlacementEngine {
     /// A core's members plus the task a demand gate tries on it.
     std::vector<std::size_t> members;
     std::vector<double> task_keys;  ///< per task (UD-TPA: differences)
-    std::vector<double> core_keys;  ///< one per core (UD-TPA: their load)
+    std::vector<double> core_keys;  ///< per core (UD-TPA: their load)
   };
 
   /// The scheme buffers; the per-core ones hold num_cores() entries.

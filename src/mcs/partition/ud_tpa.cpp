@@ -81,7 +81,7 @@ PlacementOutcome UdTpaPartitioner::run_on(
 
   // Phase 1: spread the utilization differences (worst-fit on diff load).
   std::vector<double>& diff_load = buffers.core_keys;
-  std::fill(diff_load.begin(), diff_load.end(), 0.0);
+  diff_load.assign(engine.num_cores(), 0.0);
   PlacementOutcome outcome;
   outcome.failed_task = place_in_order_batched(
       engine, multi, SelectionRule::kMinKey,

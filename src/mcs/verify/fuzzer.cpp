@@ -110,38 +110,29 @@ std::string check_case(FuzzTarget target, const FuzzCase& c,
   return {};
 }
 
-/// The check of one case: options.check when set, else the target's.
-std::string check_with(const FuzzOptions& options, const FuzzCase& c,
-                       const TrialParams& p) {
-  return options.check ? options.check(c)
-                       : check_case(options.target, c, p.scheme, p.case_seed);
-}
-
-/// Shrinks the failing case of `trial`.  The case is re-checked first: one
-/// that no longer fails is kept as found, since shrink() needs a predicate
-/// that holds on it.
+/// Shrinks the failing case of `trial` (see detail::recheck_then_shrink).
 Finding shrink_finding(const FuzzOptions& options, const TrialParams& p,
-                       std::uint64_t trial, std::string detail) {
+                       std::uint64_t trial, std::string failure) {
   FuzzCase original = make_case(p, trial);
   const std::size_t original_tasks = original.ts.size();
-  const FailurePredicate predicate = [&](const FuzzCase& candidate) {
-    return !check_with(options, candidate, p).empty();
-  };
-  const bool failed_again = predicate(original);
-  ShrinkResult shrunk = failed_again
-                            ? shrink(original, predicate, options.shrink)
-                            : ShrinkResult{std::move(original), 0, 0};
+  detail::Rechecked rechecked = detail::recheck_then_shrink(
+      std::move(original),
+      [&](const FuzzCase& candidate) {
+        return !check_case(options.target, candidate, p.scheme, p.case_seed)
+                    .empty();
+      },
+      options.shrink);
   return Finding{
       trial,
-      std::move(detail),
+      std::move(failure),
       options.target == FuzzTarget::kSoundness ? p.scheme : std::string{},
-      std::move(shrunk.minimized),
+      std::move(rechecked.shrunk.minimized),
       original_tasks,
-      shrunk.steps,
-      shrunk.attempts,
+      rechecked.shrunk.steps,
+      rechecked.shrunk.attempts,
       std::string{},
       std::string{},
-      failed_again};
+      rechecked.failed_again};
 }
 
 /// " (did not fail again on re-check; kept unshrunk)" for such a finding.
@@ -187,6 +178,19 @@ void record_flight(const FuzzOptions& options, Finding& finding) {
 }
 
 }  // namespace
+
+namespace detail {
+
+Rechecked recheck_then_shrink(FuzzCase original,
+                              const FailurePredicate& still_fails,
+                              const ShrinkOptions& options) {
+  if (!still_fails(original)) {
+    return Rechecked{ShrinkResult{std::move(original), 0, 0}, false};
+  }
+  return Rechecked{shrink(original, still_fails, options), true};
+}
+
+}  // namespace detail
 
 FuzzTarget parse_target(const std::string& name) {
   if (name == "soundness") return FuzzTarget::kSoundness;
@@ -257,9 +261,8 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     util::parallel_for(
         static_cast<std::size_t>(n),
         [&](std::size_t i) {
-          const std::uint64_t trial = next_trial + i;
-          const TrialParams p = draw_params(options.seed, trial);
-          failures[i] = check_with(options, make_case(p, trial), p);
+          failures[i] =
+              run_trial(options.target, options.seed, next_trial + i);
         },
         options.threads);
     for (std::size_t i = 0; i < failures.size(); ++i) {

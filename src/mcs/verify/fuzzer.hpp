@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,9 +58,6 @@ struct FuzzOptions {
   /// <target>_seed<seed>_trial<trial>.mcs.
   std::string corpus_dir;
   ShrinkOptions shrink;
-  /// When set, replaces the target's check: the failure detail on a case,
-  /// or empty when it is clean.  Tests use it to drive the finding path.
-  std::function<std::string(const FuzzCase&)> check;
 };
 
 /// One shrunk, reproducible failure.
@@ -107,5 +103,21 @@ struct FuzzReport {
 /// Renders the stats table (trials, trials/sec, findings, shrink steps) plus
 /// one line per finding with its reproduction command.
 [[nodiscard]] std::string describe(const FuzzReport& report);
+
+namespace detail {
+
+/// A finding's shrink step.  `original` is re-checked first and shrunk only
+/// when `still_fails` holds on it again: a case that passes its re-check (a
+/// race, a timing-dependent check) comes back as found, with failed_again
+/// false, since shrink() needs a predicate that holds on the original.
+struct Rechecked {
+  ShrinkResult shrunk;
+  bool failed_again = true;
+};
+[[nodiscard]] Rechecked recheck_then_shrink(FuzzCase original,
+                                            const FailurePredicate& still_fails,
+                                            const ShrinkOptions& options);
+
+}  // namespace detail
 
 }  // namespace mcs::verify

@@ -87,39 +87,41 @@ TEST(FuzzSmokeTest, TrialRunnerIsDeterministic) {
 }
 
 // A check that fails on its first call and passes after it, as a race or a
-// timing-dependent check would: the finding must survive its failed
-// re-check, unshrunk, with its reproducer written and the note in the
-// report, instead of ending the run in shrink()'s precondition.
+// timing-dependent check would: the finding's re-check must keep the case
+// as found, unshrunk, instead of handing shrink() a predicate that does not
+// hold on it, and the report must say so.
 TEST(FuzzSmokeTest, FindingThatDoesNotFailAgainIsKeptUnshrunk) {
-  const std::string dir = ::testing::TempDir() + "fuzz_flaky_finding";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const CorpusCase stored = load_corpus_case(corpus_files().front());
+  const FuzzCase original{stored.ts, stored.meta.num_cores};
   int calls = 0;
-  FuzzOptions options;
-  options.target = FuzzTarget::kDifferential;
-  options.max_trials = 1;
-  options.threads = 1;
-  options.corpus_dir = dir;
-  options.check = [&calls](const FuzzCase&) {
-    return calls++ == 0 ? std::string("flaky failure") : std::string();
+  const FailurePredicate fails_once = [&calls](const FuzzCase&) {
+    return calls++ == 0;
   };
-  const FuzzReport report = run_fuzz(options);
+  ASSERT_TRUE(fails_once(original));  // the trial's check
+  detail::Rechecked kept =
+      detail::recheck_then_shrink(original, fails_once, ShrinkOptions{});
   EXPECT_EQ(calls, 2);  // the trial, then the re-check
-  ASSERT_EQ(report.findings.size(), 1u);
-  const Finding& finding = report.findings[0];
-  EXPECT_FALSE(finding.failed_again);
-  EXPECT_EQ(finding.detail, "flaky failure");
-  EXPECT_EQ(finding.shrunk.ts.size(), finding.original_tasks);
-  EXPECT_EQ(finding.shrink_attempts, 0u);
-  ASSERT_FALSE(finding.corpus_path.empty());
-  EXPECT_TRUE(std::filesystem::exists(finding.corpus_path));
-  EXPECT_NE(load_corpus_case(finding.corpus_path)
-                .meta.note.find("did not fail again on re-check"),
-            std::string::npos);
+  EXPECT_FALSE(kept.failed_again);
+  EXPECT_EQ(kept.shrunk.minimized.ts.size(), original.ts.size());
+  EXPECT_EQ(kept.shrunk.minimized.num_cores, original.num_cores);
+  EXPECT_EQ(kept.shrunk.steps, 0u);
+  EXPECT_EQ(kept.shrunk.attempts, 0u);
+
+  // A case that fails again is shrunk as before.
+  const detail::Rechecked shrunk = detail::recheck_then_shrink(
+      original, [](const FuzzCase&) { return true; }, ShrinkOptions{});
+  EXPECT_TRUE(shrunk.failed_again);
+  EXPECT_GT(shrunk.shrunk.attempts, 0u);
+
+  FuzzReport report;
+  report.target = FuzzTarget::kDifferential;
+  report.findings.push_back(Finding{7, "flaky failure", std::string{},
+                                    std::move(kept.shrunk.minimized),
+                                    original.ts.size(), 0, 0, std::string{},
+                                    std::string{}, kept.failed_again});
   EXPECT_NE(describe(report).find("did not fail again on re-check"),
             std::string::npos)
       << describe(report);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(FuzzSmokeTest, ShortBudgetedRunIsClean) {
